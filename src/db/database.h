@@ -7,12 +7,18 @@
 #include "config/params.h"
 #include "sim/random.h"
 #include "util/macros.h"
+#include "util/small_vector.h"
 
 namespace ccsim::db {
 
 /// Global page (atom) identifier. Pages are numbered class after class.
 using PageId = std::int32_t;
 inline constexpr PageId kInvalidPage = -1;
+
+/// An object's page list. Paper-scale objects are one atom and the
+/// clustering sweep goes up to 8, so the inline capacity covers every
+/// configured object size without a heap block.
+using PageList = util::SmallVector<PageId, 8>;
 
 /// A logical object: `size` consecutive atoms of one class starting at
 /// `start_atom` (wrapping at the class boundary). Because objects start at
@@ -61,7 +67,7 @@ class DatabaseLayout {
   ObjectRef RandomObject(sim::Pcg32& rng) const;
 
   /// The pages an object occupies, in atom order (wrapping in the class).
-  std::vector<PageId> PagesOf(const ObjectRef& object) const;
+  PageList PagesOf(const ObjectRef& object) const;
 
  private:
   config::DatabaseParams params_;

@@ -2,13 +2,13 @@
 #define CCSIM_SIM_EVENT_H_
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
 #include "util/macros.h"
+#include "util/ring_deque.h"
 
 namespace ccsim::sim {
 
@@ -105,6 +105,10 @@ class OneShot {
 
 /// An unbounded FIFO message queue connecting processes. Multiple producers;
 /// receivers are served in FIFO order.
+///
+/// Items and parked receivers live in growable rings (util::RingDeque), so
+/// once a mailbox has seen its peak backlog, push/receive cycles reuse the
+/// same slots and never allocate.
 template <typename T>
 class Mailbox {
  public:
@@ -175,8 +179,8 @@ class Mailbox {
   }
 
   Simulator* simulator_;
-  std::deque<T> items_;
-  std::deque<std::coroutine_handle<>> receivers_;
+  util::RingDeque<T> items_;
+  util::RingDeque<std::coroutine_handle<>> receivers_;
 };
 
 }  // namespace ccsim::sim

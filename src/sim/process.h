@@ -2,7 +2,8 @@
 #define CCSIM_SIM_PROCESS_H_
 
 #include <coroutine>
-#include <cstdint>
+
+#include "sim/frame_pool.h"
 
 namespace ccsim::sim {
 
@@ -23,14 +24,20 @@ class Simulator;
 /// are destroyed there. Because shutdown destroys frames while other model
 /// objects are still alive, process-local destructors must not touch shared
 /// simulation state — keep process locals plain data.
+///
+/// Frames come from the recycling FramePool, and the promise doubles as
+/// the node of the simulator's intrusive live-process list, so spawning
+/// and finishing a process touch no allocator in steady state.
 class Process {
  public:
   struct promise_type;
   using Handle = std::coroutine_handle<promise_type>;
 
-  struct promise_type {
+  struct promise_type : PooledFrame {
     Simulator* simulator = nullptr;
-    std::uint64_t registry_id = 0;
+    // Links in Simulator's live-process list (set by Spawn).
+    promise_type* prev_live = nullptr;
+    promise_type* next_live = nullptr;
 
     Process get_return_object() {
       return Process(Handle::from_promise(*this));

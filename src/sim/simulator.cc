@@ -14,7 +14,7 @@ void Process::promise_type::unhandled_exception() noexcept {
 
 Process::promise_type::~promise_type() {
   if (simulator != nullptr) {
-    simulator->Unregister(registry_id);
+    simulator->Unregister(*this);
   }
 }
 
@@ -22,10 +22,7 @@ void Simulator::Spawn(Process process) {
   CCSIM_CHECK_MSG(!shutting_down_, "Spawn during shutdown");
   Process::Handle handle = process.handle();
   CCSIM_CHECK(handle);
-  Process::promise_type& promise = handle.promise();
-  promise.simulator = this;
-  promise.registry_id = next_registry_id_++;
-  live_processes_.emplace(promise.registry_id, handle);
+  Register(handle.promise());
   // First step runs at the current time, in FIFO order with other events.
   ScheduleResumeAt(now_, handle);
 }
@@ -72,11 +69,10 @@ std::uint64_t Simulator::Run(Ticks until) {
 
 void Simulator::Shutdown() {
   shutting_down_ = true;
-  // Destroying a frame unregisters it from live_processes_ (via ~promise),
-  // so loop until empty rather than iterating.
-  while (!live_processes_.empty()) {
-    Process::Handle handle = live_processes_.begin()->second;
-    handle.destroy();
+  // Destroying a frame unlinks it from the live list (via ~promise), so
+  // keep destroying the head until the list is empty.
+  while (live_head_ != nullptr) {
+    Process::Handle::from_promise(*live_head_).destroy();
   }
   // Drop pending events without firing them; they may reference handles
   // that no longer exist. Only heap-fallback closures own memory.

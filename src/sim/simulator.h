@@ -6,7 +6,6 @@
 #include <cstring>
 #include <new>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,6 +50,10 @@ namespace ccsim::sim {
 /// captures in a 32-byte inline buffer. Neither kind heap-allocates.
 /// Closures that are too big (or not trivially copyable) fall back to a
 /// heap allocation — rare by construction, and still correct.
+///
+/// Live processes form an intrusive doubly linked list threaded through
+/// their promises (newest at the head), so Spawn and process completion
+/// are O(1) pointer updates with no registry allocation.
 class Simulator {
  public:
   /// Closure captures up to this size (trivially copyable) are stored
@@ -150,7 +153,7 @@ class Simulator {
   void Shutdown();
 
   /// Number of live (spawned, not yet completed) processes.
-  std::size_t live_process_count() const { return live_processes_.size(); }
+  std::size_t live_process_count() const { return live_count_; }
 
   /// Total events processed so far (for micro-benchmarks and tests).
   std::uint64_t events_processed() const { return events_processed_; }
@@ -320,8 +323,27 @@ class Simulator {
     }
   }
 
-  void Unregister(std::uint64_t registry_id) {
-    live_processes_.erase(registry_id);
+  void Register(Process::promise_type& promise) {
+    promise.simulator = this;
+    promise.prev_live = nullptr;
+    promise.next_live = live_head_;
+    if (live_head_ != nullptr) {
+      live_head_->prev_live = &promise;
+    }
+    live_head_ = &promise;
+    ++live_count_;
+  }
+
+  void Unregister(Process::promise_type& promise) {
+    if (promise.prev_live != nullptr) {
+      promise.prev_live->next_live = promise.next_live;
+    } else {
+      live_head_ = promise.next_live;
+    }
+    if (promise.next_live != nullptr) {
+      promise.next_live->prev_live = promise.prev_live;
+    }
+    --live_count_;
   }
 
   /// Direct-mapped time → bucket cache (indexed by `when` mod slots).
@@ -335,7 +357,6 @@ class Simulator {
 
   Ticks now_ = 0;
   std::uint64_t next_bucket_order_ = 0;
-  std::uint64_t next_registry_id_ = 1;
   std::uint64_t events_processed_ = 0;
   std::size_t pending_ = 0;
   bool stop_requested_ = false;
@@ -344,7 +365,8 @@ class Simulator {
   std::vector<Bucket> buckets_;
   std::vector<std::uint32_t> free_buckets_;
   Memo memo_[kMemoSlots];
-  std::unordered_map<std::uint64_t, Process::Handle> live_processes_;
+  Process::promise_type* live_head_ = nullptr;
+  std::size_t live_count_ = 0;
 };
 
 }  // namespace ccsim::sim

@@ -4,6 +4,7 @@
 #include <coroutine>
 #include <utility>
 
+#include "sim/frame_pool.h"
 #include "util/macros.h"
 
 namespace ccsim::sim {
@@ -19,6 +20,8 @@ namespace ccsim::sim {
 /// Task goes out of scope in the parent frame. Because the parent frame
 /// transitively owns children, destroying a root Process at
 /// `Simulator::Shutdown()` reclaims the whole await chain.
+///
+/// Frames come from the recycling FramePool (see frame_pool.h).
 template <typename T>
 class [[nodiscard]] Task {
  public:
@@ -34,7 +37,7 @@ class [[nodiscard]] Task {
     void await_resume() const noexcept {}
   };
 
-  struct promise_type {
+  struct promise_type : PooledFrame {
     T value{};
     std::coroutine_handle<> continuation;
 
@@ -90,7 +93,7 @@ class [[nodiscard]] Task<void> {
     void await_resume() const noexcept {}
   };
 
-  struct promise_type {
+  struct promise_type : PooledFrame {
     std::coroutine_handle<> continuation;
 
     Task get_return_object() { return Task(Handle::from_promise(*this)); }

@@ -243,10 +243,12 @@ void Connection::Abort() {
 }
 
 bool Connection::SendRaw(const std::vector<std::uint8_t>& bytes) {
-  if (dead_.load(std::memory_order_relaxed)) {
+  if (dead_.load(std::memory_order_relaxed) ||
+      !WriteAll(bytes.data(), bytes.size())) {
     return false;
   }
-  return WriteAll(bytes.data(), bytes.size());
+  hello_sent_.store(true, std::memory_order_release);
+  return true;
 }
 
 bool Connection::ReadFrame(std::vector<std::uint8_t>* body) {
@@ -520,14 +522,11 @@ void TcpServerTransport::ReadLoop(std::shared_ptr<Connection> conn) {
     return;
   }
   conn->set_peer(client_hello);
-  // Complete the handshake before publishing routes: once the route is
-  // visible the loop thread may write to this connection, and nothing may
-  // precede the Hello reply on the wire.
-  std::vector<std::uint8_t> frame;
-  EncodeHello(hello_, &frame);
-  if (!conn->SendRaw(frame)) {
-    return;
-  }
+  // Publish the routes before the Hello reply: once the client's Connect()
+  // returns (it has read the reply), the server must be able to route to
+  // it. The loop thread may queue frames for this connection from here on,
+  // but Flush() leaves them buffered until hello_sent(), so the reply is
+  // still the first frame on the wire and this thread is its only writer.
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (int id = client_hello.client_lo; id < client_hello.client_hi;
@@ -546,14 +545,25 @@ void TcpServerTransport::ReadLoop(std::shared_ptr<Connection> conn) {
       routes_[id] = conn;
     }
   }
+  std::vector<std::uint8_t> frame;
+  EncodeHello(hello_, &frame);
+  if (!conn->SendRaw(frame)) {  // a failed send marks the conn dead
+    Unroute(conn, client_hello);
+    return;
+  }
   connections_accepted_.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<InboundChannel> channel = substrate_->OpenChannel();
   BatchedReadLoop(conn.get(), channel.get(), hello_.page_payload_bytes,
                   &frames_received_, "ccserve");
   channel->Close();
   conn->Shutdown();
+  Unroute(conn, client_hello);
+}
+
+void TcpServerTransport::Unroute(const std::shared_ptr<Connection>& conn,
+                                 const Hello& peer) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (int id = client_hello.client_lo; id < client_hello.client_hi; ++id) {
+  for (int id = peer.client_lo; id < peer.client_hi; ++id) {
     if (routes_[id] == conn) {
       routes_[id].reset();
     }
@@ -588,7 +598,12 @@ bool TcpServerTransport::Flush() {
   }
   std::size_t keep = 0;
   for (std::size_t i = 0; i < dirty_.size(); ++i) {
-    if (dirty_[i]->Flush() == FrameBuffer::FlushResult::kAgain) {
+    // A connection whose Hello reply is still being written keeps its
+    // frames queued (a dead one still flushes, which discards them).
+    const bool handshaking =
+        !dirty_[i]->dead() && !dirty_[i]->hello_sent();
+    if (handshaking ||
+        dirty_[i]->Flush() == FrameBuffer::FlushResult::kAgain) {
       dirty_[keep++] = std::move(dirty_[i]);
     }
   }

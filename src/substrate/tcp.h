@@ -76,8 +76,17 @@ class Connection {
 
   bool has_pending() const { return buffer_.has_pending(); }
 
-  /// Writes a pre-encoded frame, blocking (handshake only).
+  /// Writes a pre-encoded frame, blocking (handshake only). On success the
+  /// connection becomes writable: see hello_sent().
   bool SendRaw(const std::vector<std::uint8_t>& bytes);
+
+  /// True once this side's Hello is fully on the wire. Until then Flush()
+  /// must not run: frames may already be queued (routes are published
+  /// before the server's Hello reply goes out), but nothing may precede
+  /// the Hello on the stream.
+  bool hello_sent() const {
+    return hello_sent_.load(std::memory_order_acquire);
+  }
 
   /// Blocking read of one length-prefixed frame body (handshake only).
   /// Returns false on EOF/error. `body` is reused across calls.
@@ -109,6 +118,7 @@ class Connection {
   Hello peer_{};
   FrameBuffer buffer_;
   std::atomic<bool> dead_{false};
+  std::atomic<bool> hello_sent_{false};
 };
 
 /// Client side of the wire: one connection from a load-generator shard to
@@ -204,7 +214,9 @@ class TcpClientTransport : public net::Transport {
 /// InboundChannel, so the server loop drains per-connection FIFO batches.
 /// Connections come and go (ccload runs end while ccserve stays up):
 /// messages to a departed client are counted and dropped, exactly like a
-/// crashed workstation.
+/// crashed workstation. A client is routable from the moment its Connect()
+/// returns: routes are published before the Hello reply is written, and
+/// frames queued in between wait in the batch until the reply is out.
 class TcpServerTransport : public net::Transport {
  public:
   /// Binds `bind_host` (empty = all interfaces) and listens on `port`
@@ -261,6 +273,8 @@ class TcpServerTransport : public net::Transport {
 
   void AcceptLoop();
   void ReadLoop(std::shared_ptr<Connection> conn);
+  /// Drops the routes `peer`'s Hello claimed, if they still lead to `conn`.
+  void Unroute(const std::shared_ptr<Connection>& conn, const Hello& peer);
 
   ScopedFd listen_fd_;
   int port_;

@@ -17,9 +17,9 @@ namespace ccsim::workload {
 struct Step {
   db::ObjectRef object;
   /// The object's pages, in atom order.
-  std::vector<db::PageId> read_pages;
+  db::PageList read_pages;
   /// Subset of read_pages updated by the UpdateObject (empty = no update).
-  std::vector<db::PageId> write_pages;
+  db::PageList write_pages;
 };
 
 /// A fully materialized transaction. Pre-generating the operation sequence

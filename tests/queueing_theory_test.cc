@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "sim/process.h"
@@ -45,10 +46,13 @@ Process ArrivalSource(Simulator& sim, Resource& station, Pcg32& rng,
   }
 }
 
+// No padding bytes: gtest prints a parameter's raw bytes into the test's
+// listed name, so padding left uninitialized would vary that name run to run.
 struct MmcCase {
-  int servers;
+  std::int64_t servers;
   double rho;  // offered utilization per server
 };
+static_assert(sizeof(MmcCase) == sizeof(std::int64_t) + sizeof(double));
 
 class MmcQueueTest : public ::testing::TestWithParam<MmcCase> {};
 
@@ -61,7 +65,7 @@ TEST_P(MmcQueueTest, SojournMatchesTheory) {
       static_cast<Ticks>(1.0 / lambda_total * kTicksPerSecond);
 
   Simulator sim;
-  Resource station(&sim, "station", param.servers);
+  Resource station(&sim, "station", static_cast<int>(param.servers));
   Pcg32 rng(2024, 77);
   Tally sojourn_s;
   std::uint64_t spawned = 0;
@@ -104,7 +108,8 @@ INSTANTIATE_TEST_SUITE_P(
                       MmcCase{4, 0.7}),
     [](const ::testing::TestParamInfo<MmcCase>& info) {
       char name[32];
-      std::snprintf(name, sizeof(name), "c%d_rho%d", info.param.servers,
+      std::snprintf(name, sizeof(name), "c%d_rho%d",
+                    static_cast<int>(info.param.servers),
                     static_cast<int>(info.param.rho * 100));
       return std::string(name);
     });

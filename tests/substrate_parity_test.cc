@@ -329,6 +329,75 @@ TEST(BatchedOrderingTest, DepartedPeerDropsAreCounted) {
   EXPECT_GT(server->unroutable_drops(), 0u);
 }
 
+// When Connect() returns the client is routable: the server loop may send
+// to it at once and nothing may die unroutable. (Routes are published
+// before the Hello reply; replying first left a window in which frames
+// sent right after Connect() were dropped, which a loaded host hit.)
+TEST(BatchedOrderingTest, ClientIsRoutableWhenConnectReturns) {
+  constexpr int kRounds = 64;  // one fresh client id per round
+  constexpr int kPerRound = 32;
+
+  sim::Simulator server_sim;
+  substrate::RealtimeSubstrate server_sub(&server_sim);
+  server_sub.set_message_sink([](net::Message) {});
+  const substrate::Hello hello = OrderingHello(kRounds);
+  std::string error;
+  auto server = substrate::TcpServerTransport::Listen(
+      0, hello, &server_sub, &error);
+  ASSERT_NE(server, nullptr) << error;
+  substrate::TcpServerTransport* st = server.get();
+  server_sub.set_flush_hook([st] { return st->Flush(); });
+  std::thread loop([&server_sub] {
+    server_sub.Run(60 * sim::kTicksPerSecond);
+  });
+
+  for (int round = 0; round < kRounds; ++round) {
+    sim::Simulator client_sim;
+    substrate::RealtimeSubstrate client_sub(&client_sim);
+    std::atomic<int> received{0};
+    client_sub.set_message_sink([&received](net::Message) {
+      received.fetch_add(1, std::memory_order_relaxed);
+    });
+    substrate::Hello ch = hello;
+    ch.client_lo = round;
+    ch.client_hi = round + 1;
+    auto client = substrate::TcpClientTransport::Connect(
+        "127.0.0.1", server->port(), ch, &client_sub, &error);
+    EXPECT_NE(client, nullptr) << error;
+    if (client == nullptr) {
+      break;
+    }
+    // Send from the server loop the moment Connect() has returned.
+    server_sub.PostControl([st, round] {
+      net::Message msg;
+      msg.type = net::MsgType::kAbortNotice;
+      msg.src = net::kServerNode;
+      msg.dst = round;
+      for (int i = 0; i < kPerRound; ++i) {
+        msg.seq = static_cast<std::uint64_t>(i);
+        st->Deliver(msg);
+      }
+    });
+    std::thread client_loop([&client_sub] {
+      client_sub.Run(60 * sim::kTicksPerSecond);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (received.load(std::memory_order_relaxed) < kPerRound &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    client_sub.Stop();
+    client_loop.join();
+    client->Close();
+    EXPECT_EQ(received.load(), kPerRound) << "round " << round;
+  }
+  server_sub.Stop();
+  loop.join();
+  server->Close();
+  EXPECT_EQ(server->unroutable_drops(), 0u);
+}
+
 // Wire faults now run on the real substrate (WireFaultAdapter at the
 // Transport seam): the full cocktail must validate.
 TEST(RealConfigValidationTest, AcceptsWireFaultPlans) {

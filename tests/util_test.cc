@@ -1,13 +1,19 @@
-// Tests for Status/Result, the LRU table, and the SPSC ring.
+// Tests for Status/Result, the LRU table, the ring deque, and the SPSC ring.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <list>
+#include <memory>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/lru.h"
+#include "util/ring_deque.h"
 #include "util/spsc_ring.h"
 #include "util/status.h"
 
@@ -135,6 +141,149 @@ TEST(LruTableTest, ClearEmpties) {
   lru.Clear();
   EXPECT_TRUE(lru.empty());
   EXPECT_FALSE(lru.Contains(1));
+}
+
+// The recycled-node table against a std::list reference under random
+// churn: recency order, victim choice and lookups must match exactly,
+// including across index growth and backward-shift erases of colliding
+// keys.
+TEST(LruTableTest, MatchesListReferenceUnderChurn) {
+  LruTable<int, int> lru;
+  std::list<std::pair<int, int>> ref;  // front = most recently used
+  std::mt19937 rng(7);
+  const auto ref_find = [&ref](int key) {
+    for (auto it = ref.begin(); it != ref.end(); ++it) {
+      if (it->first == key) {
+        return it;
+      }
+    }
+    return ref.end();
+  };
+  for (int op = 0; op < 20000; ++op) {
+    // Keys spaced by 64 collide in a small index, exercising probe runs.
+    const int key = static_cast<int>(rng() % 300) * 64;
+    auto it = ref_find(key);
+    switch (rng() % 4) {
+      case 0:
+        if (it == ref.end()) {
+          lru.Insert(key, op);
+          ref.emplace_front(key, op);
+        }
+        break;
+      case 1:
+        EXPECT_EQ(lru.Erase(key), it != ref.end());
+        if (it != ref.end()) {
+          ref.erase(it);
+        }
+        break;
+      case 2: {
+        int* value = lru.Touch(key);
+        ASSERT_EQ(value != nullptr, it != ref.end());
+        if (it != ref.end()) {
+          EXPECT_EQ(*value, it->second);
+          ref.splice(ref.begin(), ref, it);
+        }
+        break;
+      }
+      default:
+        if (const LruTable<int, int>::Entry* victim = lru.VictimCandidate()) {
+          ASSERT_FALSE(ref.empty());
+          EXPECT_EQ(victim->key, ref.back().first);
+          lru.Erase(victim->key);
+          ref.pop_back();
+        }
+        break;
+    }
+    ASSERT_EQ(lru.size(), ref.size());
+  }
+  std::vector<int> order;
+  lru.ForEach([&order](const LruTable<int, int>::Entry& e) {
+    order.push_back(e.key);
+  });
+  std::vector<int> expected;
+  for (const auto& [key, value] : ref) {
+    expected.push_back(key);
+    EXPECT_NE(lru.Find(key), nullptr);
+  }
+  EXPECT_EQ(order, expected);
+}
+
+TEST(LruTableTest, MutableForEachEditsInPlace) {
+  LruTable<int, int> lru;
+  for (int i = 0; i < 5; ++i) {
+    lru.Insert(i, i);
+    lru.Pin(i);
+  }
+  lru.ForEach([](LruTable<int, int>::Entry& e) {
+    e.value *= 10;
+    e.pin_count = 0;
+  });
+  EXPECT_EQ(*lru.Find(3), 30);
+  EXPECT_FALSE(lru.IsPinned(3));
+  ASSERT_NE(lru.VictimCandidate(), nullptr);
+  EXPECT_EQ(lru.VictimCandidate()->key, 0);
+}
+
+TEST(LruTableTest, ValuesAreDestroyedOnEraseAndClear) {
+  auto token = std::make_shared<int>(1);
+  {
+    LruTable<int, std::shared_ptr<int>> lru;
+    lru.Insert(1, token);
+    lru.Insert(2, token);
+    lru.Insert(3, token);
+    EXPECT_EQ(token.use_count(), 4);
+    lru.Erase(2);
+    EXPECT_EQ(token.use_count(), 3);
+    lru.Clear();
+    EXPECT_EQ(token.use_count(), 1);
+    lru.Insert(4, token);  // recycled node
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(RingDequeTest, FifoAcrossWrapAndGrowth) {
+  util::RingDeque<int> ring;
+  std::deque<int> ref;
+  std::mt19937 rng(11);
+  int next = 0;
+  for (int op = 0; op < 5000; ++op) {
+    const unsigned choice = rng() % 5;
+    if (choice < 2) {
+      ring.push_back(next);
+      ref.push_back(next++);
+    } else if (choice == 2) {
+      ring.push_front(next);
+      ref.push_front(next++);
+    } else if (!ref.empty()) {
+      EXPECT_EQ(ring.front(), ref.front());
+      ring.pop_front();
+      ref.pop_front();
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+  }
+  while (!ref.empty()) {
+    EXPECT_EQ(ring.front(), ref.front());
+    ring.pop_front();
+    ref.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(RingDequeTest, ClearDestroysItemsAndKeepsStorage) {
+  auto token = std::make_shared<int>(1);
+  util::RingDeque<std::shared_ptr<int>> ring;
+  for (int i = 0; i < 20; ++i) {
+    ring.push_back(token);
+  }
+  const std::size_t capacity = ring.capacity();
+  EXPECT_GE(capacity, 20u);
+  EXPECT_EQ(token.use_count(), 21);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(ring.capacity(), capacity);
+  ring.push_back(token);
+  EXPECT_EQ(ring.front(), token);
 }
 
 TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {

@@ -33,7 +33,11 @@
 #  10. a checker-overhead budget gate: the tracked BENCH_kernel.json must
 #      record on_overhead_pct <= CCSIM_CI_CHECKER_BUDGET (default 12) — the
 #      price of the always-on verifier is a CI-enforced contract, not a
-#      hope.
+#      hope,
+#  11. a stress leg: the substrate and chaos suites repeated
+#      (ctest --repeat until-fail:N) while one busy-loop per core competes
+#      for the CPU, so thread/TCP races that only open up on a loaded
+#      machine fail here rather than on a developer's laptop.
 #
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 # Environment:
@@ -44,6 +48,9 @@
 #                        smoke (default 5; ~30 s wall across all five)
 #   CCSIM_CI_TPUT_TOLERANCE  allowed real-substrate commits/s shortfall
 #                        versus the baseline, percent (default 10)
+#   CCSIM_CI_STRESS_REPEAT  repetitions of each substrate/chaos test in
+#                        the stress leg (default 10; one repetition takes
+#                        ~12 s in an ASan build on 4 cores, so ~2 min)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -56,6 +63,7 @@ jobs="${CCSIM_CI_JOBS:-$(nproc)}"
 checker_budget="${CCSIM_CI_CHECKER_BUDGET:-12}"
 smoke_secs="${CCSIM_CI_SMOKE_SECS:-5}"
 tput_tolerance="${CCSIM_CI_TPUT_TOLERANCE:-10}"
+stress_repeat="${CCSIM_CI_STRESS_REPEAT:-10}"
 
 step() { echo; echo "=== $* ==="; }
 
@@ -190,5 +198,26 @@ if overhead > budget:
     sys.exit(f"FAIL: checker-on overhead {overhead}% exceeds the "
              f"{budget}% budget")
 PYEOF
+
+step "stress: substrate + chaos suites x${stress_repeat} under a CPU hog"
+# One busy loop per core keeps every test thread competing for the CPU, the
+# condition under which handshake and wakeup races surface. The hogs die
+# with the leg whether it passes or fails.
+hog_pids=()
+stop_hogs() {
+  if (( ${#hog_pids[@]} > 0 )); then
+    kill "${hog_pids[@]}" 2>/dev/null || true
+    wait "${hog_pids[@]}" 2>/dev/null || true
+    hog_pids=()
+  fi
+}
+trap stop_hogs EXIT
+for _ in $(seq "$(nproc)"); do
+  yes >/dev/null &
+  hog_pids+=($!)
+done
+ctest -L 'substrate|chaos' --repeat until-fail:"$stress_repeat" \
+    --output-on-failure -j"$jobs"
+stop_hogs
 
 step "ci passed"

@@ -95,27 +95,29 @@ void Client::NoteAbort(std::uint64_t xact, std::span<const db::PageId> stale) {
   pending_stale_.insert(pending_stale_.end(), stale.begin(), stale.end());
 }
 
-sim::Task<net::Message> Client::Rpc(net::Message msg) {
-  last_rpc_type_ = msg.type;
+sim::Task<net::MessagePtr> Client::Rpc(net::MessagePtr msg) {
+  last_rpc_type_ = msg->type;
   last_rpc_at_ = simulator_->Now();
-  msg.src = id_;
-  msg.dst = net::kServerNode;
-  msg.request_id = next_request_id_++;
+  msg->src = id_;
+  msg->dst = net::kServerNode;
+  msg->request_id = next_request_id_++;
   if (resilient_) {
-    msg.seq = next_seq_++;
-    msg.incarnation = incarnation_;
-    if (msg.type == net::MsgType::kCommitRequest) {
+    msg->seq = next_seq_++;
+    msg->incarnation = incarnation_;
+    if (msg->type == net::MsgType::kCommitRequest) {
       // Ship the full updated-set: the server refuses to commit unless it
       // holds an image of every updated page, so a lost dirty eviction
       // surfaces as an abort rather than a lost update.
-      msg.updated_set.assign(updated_this_xact_.begin(),
-                             updated_this_xact_.end());
-      std::sort(msg.updated_set.begin(), msg.updated_set.end());
+      msg->updated_set.assign(updated_this_xact_.begin(),
+                              updated_this_xact_.end());
+      std::sort(msg->updated_set.begin(), msg->updated_set.end());
     }
   }
-  const std::uint64_t request_id = msg.request_id;
+  const std::uint64_t request_id = msg->request_id;
+  const net::MsgType type = msg->type;
+  const std::uint64_t xact = msg->xact;
   RpcSlot slot;
-  pending_.emplace(request_id, &slot);
+  pending_.push_back({request_id, &slot});
   sim::Ticks timeout = resilient_ ? rpc_timeout_ticks_ : 0;
   int retries_left = resilient_ ? config_.fault.max_rpc_retries : 0;
   bool gave_up = false;
@@ -128,12 +130,16 @@ sim::Task<net::Message> Client::Rpc(net::Message msg) {
       metrics_->RecordRpcRetry();
     }
     first_send = false;
-    co_await network_->Send(msg);
+    // Only the recovery layer retransmits, so only it keeps the request
+    // and sends copies; without it the request itself goes out, once.
+    net::MessagePtr wire =
+        resilient_ ? net::CloneMessage(*msg) : std::move(msg);
+    co_await network_->Send(std::move(wire));
     // A reply to an earlier transmission (or a crash) may have landed while
     // the send held the CPU; ReplyWaiter's await_ready covers that.
     ++slot.wait_epoch;
     co_await ReplyWaiter{this, &slot, request_id, JitteredTimeout(timeout)};
-    if (slot.reply.has_value() || slot.failed || crashed_) {
+    if (slot.reply != nullptr || slot.failed || crashed_) {
       break;
     }
     // Timer expired with nothing heard: back off and retransmit.
@@ -155,9 +161,11 @@ sim::Task<net::Message> Client::Rpc(net::Message msg) {
     --retries_left;
     timeout = std::min(timeout * 2, rpc_timeout_cap_ticks_);
   }
-  pending_.erase(request_id);
-  if (slot.reply.has_value()) {
-    co_return std::move(*slot.reply);
+  std::erase_if(pending_, [request_id](const PendingRpc& rpc) {
+    return rpc.request_id == request_id;
+  });
+  if (slot.reply != nullptr) {
+    co_return std::move(slot.reply);
   }
   // The reply will never come (crash) or we stopped waiting for it
   // (retransmissions exhausted). Abort the attempt locally and hand the
@@ -170,25 +178,25 @@ sim::Task<net::Message> Client::Rpc(net::Message msg) {
   // used to under-report against metrics.h's documented contract; the
   // oracle reconciles each of these against the committed set at the end
   // of the run.
-  if (msg.type == net::MsgType::kCommitRequest && !first_send) {
+  if (type == net::MsgType::kCommitRequest && !first_send) {
     metrics_->RecordUnknownOutcome();
     if (check::Checker* checker = metrics_->checker()) {
-      checker->OnUnknownOutcome(msg.xact);
+      checker->OnUnknownOutcome(xact);
     }
   }
-  if (current_xact_ != 0 && msg.xact == current_xact_ && !abort_flag_) {
+  if (current_xact_ != 0 && xact == current_xact_ && !abort_flag_) {
     abort_flag_ = true;
     last_abort_kind_ =
         gave_up ? runner::AbortKind::kTimeout : runner::AbortKind::kCrash;
   }
-  net::Message synth;
-  synth.type = ReplyTypeFor(msg.type);
-  synth.src = net::kServerNode;
-  synth.dst = id_;
-  synth.xact = msg.xact;
-  synth.request_id = request_id;
-  synth.aborted = true;
-  co_return synth;
+  net::MessagePtr synth = net::NewMessage();
+  synth->type = ReplyTypeFor(type);
+  synth->src = net::kServerNode;
+  synth->dst = id_;
+  synth->xact = xact;
+  synth->request_id = request_id;
+  synth->aborted = true;
+  co_return std::move(synth);
 }
 
 sim::Ticks Client::JitteredTimeout(sim::Ticks timeout) {
@@ -205,11 +213,10 @@ sim::Ticks Client::JitteredTimeout(sim::Ticks timeout) {
 void Client::ArmRpcTimeout(std::uint64_t request_id, std::uint64_t epoch,
                            sim::Ticks timeout) {
   simulator_->ScheduleAfter(timeout, [this, request_id, epoch] {
-    auto it = pending_.find(request_id);
-    if (it == pending_.end()) {
+    RpcSlot* slot = FindPending(request_id);
+    if (slot == nullptr) {
       return;  // RPC already finished
     }
-    RpcSlot* slot = it->second;
     if (slot->wait_epoch != epoch || slot->woken ||
         slot->waiter == nullptr) {
       return;  // stale timer from a previous transmission
@@ -226,6 +233,15 @@ void Client::WakeSlot(RpcSlot* slot) {
   }
 }
 
+Client::RpcSlot* Client::FindPending(std::uint64_t request_id) const {
+  for (const PendingRpc& rpc : pending_) {
+    if (rpc.request_id == request_id) {
+      return rpc.slot;
+    }
+  }
+  return nullptr;
+}
+
 bool Client::NoteSeenSeq(std::uint64_t seq) {
   if (!seen_seq_.insert(seq).second) {
     return false;
@@ -238,16 +254,16 @@ bool Client::NoteSeenSeq(std::uint64_t seq) {
   return true;
 }
 
-sim::Task<void> Client::SendAsync(net::Message msg) {
+sim::Task<void> Client::SendAsync(net::MessagePtr msg) {
   if (crashed_) {
     co_return;  // a dead workstation sends nothing
   }
-  msg.src = id_;
-  msg.dst = net::kServerNode;
-  msg.request_id = 0;
+  msg->src = id_;
+  msg->dst = net::kServerNode;
+  msg->request_id = 0;
   if (resilient_) {
-    msg.seq = next_seq_++;
-    msg.incarnation = incarnation_;
+    msg->seq = next_seq_++;
+    msg->incarnation = incarnation_;
   }
   co_await network_->Send(std::move(msg));
 }
@@ -265,9 +281,9 @@ void Client::Crash() {
   }
   // Every outstanding RPC fails immediately: the waiting coroutines resume,
   // see `failed`, and unwind their attempts as crash aborts.
-  for (auto& [request_id, slot] : pending_) {
-    slot->failed = true;
-    WakeSlot(slot);
+  for (const PendingRpc& rpc : pending_) {
+    rpc.slot->failed = true;
+    WakeSlot(rpc.slot);
   }
   // Messages queued but not yet processed died with the process.
   inbox_.Clear();
@@ -333,9 +349,9 @@ sim::Task<void> Client::UserDelay(sim::Ticks delay, bool defer_async) {
 
 sim::Task<void> Client::DrainDeferred() {
   while (!deferred_.empty()) {
-    net::Message msg = std::move(deferred_.front());
+    net::MessagePtr msg = std::move(deferred_.front());
     deferred_.pop_front();
-    co_await protocol_->HandleAsync(msg);
+    co_await protocol_->HandleAsync(*msg);
   }
 }
 
@@ -390,21 +406,20 @@ sim::Process Client::Driver() {
 
 sim::Process Client::Dispatcher() {
   while (true) {
-    net::Message msg = co_await inbox_.Receive();
+    net::MessagePtr msg = co_await inbox_.Receive();
     if (crashed_) {
       continue;  // lost with the process
     }
-    if (msg.request_id != 0) {
-      auto it = pending_.find(msg.request_id);
-      if (it == pending_.end()) {
+    if (msg->request_id != 0) {
+      RpcSlot* slot = FindPending(msg->request_id);
+      if (slot == nullptr) {
         // Duplicate of a reply we already consumed, or a reply that raced
         // a timeout give-up. Only possible on a faulty network.
         CCSIM_CHECK_MSG(resilient_, "reply with no pending request");
         metrics_->RecordDuplicateSuppressed();
         continue;
       }
-      RpcSlot* slot = it->second;
-      if (slot->reply.has_value()) {
+      if (slot->reply != nullptr) {
         metrics_->RecordDuplicateSuppressed();
         continue;
       }
@@ -412,7 +427,7 @@ sim::Process Client::Dispatcher() {
       WakeSlot(slot);
       continue;
     }
-    if (resilient_ && msg.seq != 0 && !NoteSeenSeq(msg.seq)) {
+    if (resilient_ && msg->seq != 0 && !NoteSeenSeq(msg->seq)) {
       metrics_->RecordDuplicateSuppressed();
       continue;
     }
@@ -420,7 +435,7 @@ sim::Process Client::Dispatcher() {
       deferred_.push_back(std::move(msg));
       continue;
     }
-    co_await protocol_->HandleAsync(msg);
+    co_await protocol_->HandleAsync(*msg);
   }
 }
 

@@ -1,10 +1,13 @@
 #ifndef CCSIM_NET_MESSAGE_H_
 #define CCSIM_NET_MESSAGE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "db/database.h"
 #include "lock/lock_manager.h"
+#include "sim/frame_pool.h"
 #include "util/small_vector.h"
 
 namespace ccsim::net {
@@ -57,6 +60,9 @@ using VersionList = MsgList<std::uint64_t>;
 /// A protocol message. Control information is assumed to fit one packet;
 /// each page image carried in `data_pages` adds one packet
 /// (PageSize == PacketSize in all paper configurations).
+///
+/// A new field must also be reset in ResetMessage (message.cc), which
+/// returns recycled messages to default state.
 struct Message {
   MsgType type{};
   int src = kServerNode;
@@ -118,6 +124,45 @@ struct Message {
 inline int PacketsFor(const Message& msg) {
   return msg.data_pages.empty() ? 1 : static_cast<int>(msg.data_pages.size());
 }
+
+/// Returns a message to the pool of the calling thread (see MessagePool).
+struct MessageRelease {
+  void operator()(Message* msg) const noexcept;
+};
+
+/// Owning handle to a pooled message: 8 bytes, move-only. Protocol
+/// messages travel sender -> Network -> mailbox -> handler as a
+/// MessagePtr, so each message is built once, in place, and never copied
+/// or moved on the way; destroying the handle recycles the message.
+using MessagePtr = std::unique_ptr<Message, MessageRelease>;
+
+/// A message in default state, from the calling thread's pool.
+MessagePtr NewMessage();
+
+/// A pooled copy of `msg`, for the places that need a second message: a
+/// retransmission, a cached reply, an injected duplicate.
+MessagePtr CloneMessage(const Message& msg);
+
+/// Per-thread free list behind NewMessage()/MessageRelease.
+///
+/// Release resets every header field and clears the ten lists without
+/// freeing their storage, so a recycled message whose lists once spilled
+/// to the heap keeps that capacity. A message released on a thread other
+/// than the one that created it joins the releasing thread's list; each
+/// thread's list is freed when the thread exits. The list never holds
+/// more messages than the thread's peak of messages in flight (plus what
+/// other threads released into it), so the steady state allocates nothing.
+///
+/// Under AddressSanitizer the pool is bypassed (`kEnabled == false`, in
+/// step with sim::FramePool): every message is a fresh allocation, so a
+/// use after release is still reported.
+class MessagePool {
+ public:
+  static constexpr bool kEnabled = sim::FramePool::kEnabled;
+
+  /// Messages parked in the calling thread's free list.
+  static std::size_t FreeCount();
+};
 
 }  // namespace ccsim::net
 

@@ -2,7 +2,7 @@
 #define CCSIM_NET_NETWORK_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "fault/fault_injector.h"
 #include "net/message.h"
@@ -11,6 +11,7 @@
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "util/macros.h"
 
 namespace ccsim::net {
 
@@ -42,10 +43,13 @@ class Transport {
 /// after which the message lands in the destination mailbox. Per-pair FIFO
 /// ordering holds because the medium is a single FCFS server and CPU queues
 /// are FCFS.
+///
+/// Messages travel as pooled handles: the one built by the sender is the
+/// one the receiver's handler reads (DESIGN.md §3b).
 class Network {
  public:
   struct Endpoint {
-    sim::Mailbox<Message>* inbox = nullptr;
+    sim::Mailbox<MessagePtr>* inbox = nullptr;
     sim::Resource* cpu = nullptr;
     /// MsgCost in ticks at this endpoint's CPU speed, per packet.
     sim::Ticks msg_cost = 0;
@@ -60,8 +64,15 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   void RegisterEndpoint(int node, Endpoint endpoint) {
-    const bool inserted = endpoints_.emplace(node, endpoint).second;
-    CCSIM_CHECK_MSG(inserted, "endpoint %d registered twice", node);
+    CCSIM_CHECK_MSG(node >= kServerNode, "bad endpoint %d", node);
+    const std::size_t slot = SlotOf(node);
+    if (slot >= endpoints_.size()) {
+      endpoints_.resize(slot + 1);
+    }
+    CCSIM_CHECK_MSG(endpoints_[slot].inbox == nullptr,
+                    "endpoint %d registered twice", node);
+    CCSIM_CHECK(endpoint.inbox != nullptr);
+    endpoints_[slot] = endpoint;
   }
 
   /// Attaches a real transport (nullptr = simulated medium, the default).
@@ -80,8 +91,9 @@ class Network {
   fault::FaultInjector* fault_injector() { return injector_; }
 
   /// Sends a message: the caller pays the send-side CPU cost, then transfer
-  /// and delivery proceed asynchronously.
-  sim::Task<void> Send(Message msg);
+  /// and delivery proceed asynchronously. The handle moves on to the
+  /// destination inbox (or is released if the message is lost).
+  sim::Task<void> Send(MessagePtr msg);
 
   sim::Resource& medium() { return medium_; }
   std::uint64_t messages_sent() const { return messages_sent_; }
@@ -96,7 +108,21 @@ class Network {
   }
 
  private:
-  sim::Process TransferAndDeliver(Message msg, int packets);
+  sim::Process TransferAndDeliver(MessagePtr msg, int packets);
+
+  /// Endpoints are a dense table indexed by node - kServerNode (the server
+  /// first, then clients 0..N-1); an empty slot has no inbox.
+  static std::size_t SlotOf(int node) {
+    return static_cast<std::size_t>(node - kServerNode);
+  }
+  /// The registered endpoint of `node`, or nullptr.
+  const Endpoint* FindEndpoint(int node) const {
+    const std::size_t slot = SlotOf(node);
+    // A node below kServerNode wraps to a slot past the end.
+    return slot < endpoints_.size() && endpoints_[slot].inbox != nullptr
+               ? &endpoints_[slot]
+               : nullptr;
+  }
 
   sim::Simulator* simulator_;
   sim::Ticks mean_packet_delay_;
@@ -104,7 +130,7 @@ class Network {
   sim::Resource medium_;
   Transport* transport_ = nullptr;
   fault::FaultInjector* injector_ = nullptr;
-  std::unordered_map<int, Endpoint> endpoints_;
+  std::vector<Endpoint> endpoints_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t packets_sent_ = 0;
 };

@@ -13,14 +13,14 @@ namespace ccsim::proto {
 // --- client ---
 
 sim::Task<bool> CallbackClient::ReadObject(const workload::Step& step) {
-  std::vector<db::PageId> check;
-  std::vector<std::uint64_t> check_versions;
-  std::vector<db::PageId> fetch;
+  // Built in place: cached pages to validate (with their versions) and
+  // uncached pages to fetch.
+  net::MessagePtr request = net::NewMessage();
   for (db::PageId page : step.read_pages) {
     client::CachedPage* entry = c_.cache().Touch(page);
     if (entry == nullptr) {
       c_.cache().RecordMiss();
-      fetch.push_back(page);
+      request->fetch_pages.push_back(page);
       continue;
     }
     if (entry->lock != client::PageLock::kNone) {
@@ -57,40 +57,37 @@ sim::Task<bool> CallbackClient::ReadObject(const workload::Step& step) {
         continue;
       }
     }
-    check.push_back(page);
-    check_versions.push_back(entry->version);
+    request->pages.push_back(page);
+    request->versions.push_back(entry->version);
     c_.cache().Pin(page);
   }
 
-  if (!check.empty() || !fetch.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kReadRequest;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kShared;
-    request.pages = check;
-    request.versions = check_versions;
-    request.fetch_pages = fetch;
-    request.evicted_pages = TakeEvictNotices();
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      c_.NoteAbort(c_.current_xact(), reply.pages);
+  if (!request->pages.empty() || !request->fetch_pages.empty()) {
+    request->type = net::MsgType::kReadRequest;
+    request->xact = c_.current_xact();
+    request->mode = lock::LockMode::kShared;
+    AttachEvictNotices(*request);
+    const net::PageList check = request->pages;
+    net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+    if (reply->aborted) {
+      c_.NoteAbort(c_.current_xact(), reply->pages);
       co_return false;
     }
-    for (std::size_t i = 0; i < reply.data_pages.size(); ++i) {
-      const db::PageId page = reply.data_pages[i];
+    for (std::size_t i = 0; i < reply->data_pages.size(); ++i) {
+      const db::PageId page = reply->data_pages[i];
       client::CachedPage* entry = c_.cache().Find(page);
       if (entry != nullptr) {
-        entry->version = reply.data_versions[i];
+        entry->version = reply->data_versions[i];
       } else {
         client::CachedPage info;
-        info.version = reply.data_versions[i];
+        info.version = reply->data_versions[i];
         co_await c_.InstallPage(page, info);
       }
     }
     for (db::PageId page : check) {
       const bool refreshed =
-          std::find(reply.data_pages.begin(), reply.data_pages.end(), page) !=
-          reply.data_pages.end();
+          std::find(reply->data_pages.begin(), reply->data_pages.end(), page) !=
+          reply->data_pages.end();
       if (refreshed) {
         c_.cache().RecordMiss();
       } else {
@@ -111,24 +108,23 @@ sim::Task<bool> CallbackClient::ReadObject(const workload::Step& step) {
 }
 
 sim::Task<bool> CallbackClient::UpdateObject(const workload::Step& step) {
-  std::vector<db::PageId> upgrade;
+  net::MessagePtr request = net::NewMessage();
   for (db::PageId page : step.write_pages) {
     client::CachedPage* entry = c_.cache().Find(page);
     CCSIM_CHECK(entry != nullptr);
     if (entry->lock != client::PageLock::kExclusive) {
-      upgrade.push_back(page);
+      request->pages.push_back(page);
     }
   }
-  if (!upgrade.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kUpgradeRequest;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kExclusive;
-    request.pages = upgrade;
-    request.evicted_pages = TakeEvictNotices();
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      c_.NoteAbort(c_.current_xact(), reply.pages);
+  if (!request->pages.empty()) {
+    request->type = net::MsgType::kUpgradeRequest;
+    request->xact = c_.current_xact();
+    request->mode = lock::LockMode::kExclusive;
+    AttachEvictNotices(*request);
+    const net::PageList upgrade = request->pages;
+    net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+    if (reply->aborted) {
+      c_.NoteAbort(c_.current_xact(), reply->pages);
       co_return false;
     }
     for (db::PageId page : upgrade) {
@@ -145,28 +141,28 @@ sim::Task<bool> CallbackClient::UpdateObject(const workload::Step& step) {
 
 sim::Task<bool> CallbackClient::Commit(const workload::TransactionSpec& spec) {
   (void)spec;
-  net::Message request;
-  request.type = net::MsgType::kCommitRequest;
-  request.xact = c_.current_xact();
-  request.data_pages = c_.cache().DirtyPages();
-  request.evicted_pages = TakeEvictNotices();
+  net::MessagePtr request = net::NewMessage();
+  request->type = net::MsgType::kCommitRequest;
+  request->xact = c_.current_xact();
+  request->data_pages = c_.cache().DirtyPages();
+  AttachEvictNotices(*request);
   // Reads served purely from retained locks never contacted the server;
   // report them so the commit-time serializability oracle covers them.
   c_.cache().ForEach([&](db::PageId page, const client::CachedPage& entry) {
     if (entry.lock != client::PageLock::kNone && c_.cache().IsPinned(page)) {
-      request.read_set.push_back(page);
-      request.read_versions.push_back(entry.version);
+      request->read_set.push_back(page);
+      request->read_versions.push_back(entry.version);
     }
   });
-  net::Message reply = co_await c_.Rpc(std::move(request));
-  if (reply.aborted) {
-    c_.NoteAbort(c_.current_xact(), reply.pages);
+  net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+  if (reply->aborted) {
+    c_.NoteAbort(c_.current_xact(), reply->pages);
     co_return false;
   }
-  for (std::size_t i = 0; i < reply.pages.size(); ++i) {
-    client::CachedPage* entry = c_.cache().Find(reply.pages[i]);
+  for (std::size_t i = 0; i < reply->pages.size(); ++i) {
+    client::CachedPage* entry = c_.cache().Find(reply->pages[i]);
     if (entry != nullptr) {
-      entry->version = reply.versions[i];
+      entry->version = reply->versions[i];
       entry->dirty = false;
     }
   }
@@ -184,7 +180,7 @@ sim::Task<bool> CallbackClient::Commit(const workload::TransactionSpec& spec) {
       mutable_entry->lease_until = lease_until;
     }
   });
-  for (db::PageId page : reply.released_pages) {
+  for (db::PageId page : reply->released_pages) {
     client::CachedPage* entry = c_.cache().Find(page);
     if (entry != nullptr) {
       entry->retained = false;
@@ -216,11 +212,11 @@ sim::Task<void> CallbackClient::OnAttemptEnd(bool committed) {
   }
   // Deferred callbacks: the transaction is over, relinquish now.
   if (!deferred_callbacks_.empty()) {
-    net::Message release;
-    release.type = net::MsgType::kCallbackRelease;
-    release.xact = 0;
+    net::MessagePtr release = net::NewMessage();
+    release->type = net::MsgType::kCallbackRelease;
+    release->xact = 0;
     for (db::PageId page : deferred_callbacks_) {
-      release.pages.push_back(page);
+      release->pages.push_back(page);
       client::CachedPage* entry = c_.cache().Find(page);
       if (entry != nullptr) {
         entry->retained = false;
@@ -258,9 +254,9 @@ sim::Task<void> CallbackClient::HandleAsync(net::Message& msg) {
     co_await ClientProtocol::HandleAsync(msg);
     co_return;
   }
-  net::Message release;
-  release.type = net::MsgType::kCallbackRelease;
-  release.xact = 0;
+  net::MessagePtr release = net::NewMessage();
+  release->type = net::MsgType::kCallbackRelease;
+  release->xact = 0;
   for (db::PageId page : msg.pages) {
     client::CachedPage* entry = c_.cache().Find(page);
     const bool in_use = entry != nullptr && c_.cache().IsPinned(page) &&
@@ -278,9 +274,9 @@ sim::Task<void> CallbackClient::HandleAsync(net::Message& msg) {
       entry->retained = false;  // the page itself stays cached, unlocked
       entry->retained_x = false;
     }
-    release.pages.push_back(page);
+    release->pages.push_back(page);
   }
-  if (!release.pages.empty()) {
+  if (!release->pages.empty()) {
     co_await c_.SendAsync(std::move(release));
   }
 }
@@ -337,10 +333,10 @@ sim::Process CallbackServer::RequestCallbacks(int requester_client,
       std::fprintf(stderr, "[cb] SEND callback page=%d client=%d\n", page,
                    client);
     }
-    net::Message callback;
-    callback.type = net::MsgType::kCallbackRequest;
-    callback.dst = client;
-    callback.pages.push_back(page);
+    net::MessagePtr callback = net::NewMessage();
+    callback->type = net::MsgType::kCallbackRequest;
+    callback->dst = client;
+    callback->pages.push_back(page);
     if (lease_ticks_ > 0) {
       // Recovery mode: the callback request or its release may be lost, or
       // the retainer may be dead. After 1.5 leases (past the point where
@@ -377,38 +373,38 @@ void CallbackServer::HandleRetainedRelease(
   }
 }
 
-sim::Process CallbackServer::Handle(net::Message msg) {
-  if (!msg.evicted_pages.empty() && msg.src != net::kServerNode) {
-    HandleRetainedRelease(msg.src, msg.evicted_pages,
+sim::Process CallbackServer::Handle(net::MessagePtr msg) {
+  if (!msg->evicted_pages.empty() && msg->src != net::kServerNode) {
+    HandleRetainedRelease(msg->src, msg->evicted_pages,
                           /*drop_directory=*/true);
   }
-  switch (msg.type) {
+  switch (msg->type) {
     case net::MsgType::kReadRequest:
-      co_await HandleRead(std::move(msg));
+      co_await HandleRead(*msg);
       break;
     case net::MsgType::kUpgradeRequest:
-      co_await HandleUpgrade(std::move(msg));
+      co_await HandleUpgrade(*msg);
       break;
     case net::MsgType::kCommitRequest:
-      co_await HandleCommit(std::move(msg));
+      co_await HandleCommit(*msg);
       break;
     case net::MsgType::kDirtyEvict:
-      co_await HandleDirtyEvict(std::move(msg));
+      co_await HandleDirtyEvict(*msg);
       break;
     case net::MsgType::kEvictNotice:
       // A clean page with a retained lock left a client cache.
-      HandleRetainedRelease(msg.src, msg.pages, /*drop_directory=*/true);
+      HandleRetainedRelease(msg->src, msg->pages, /*drop_directory=*/true);
       break;
     case net::MsgType::kCallbackRelease:
       // The client still caches the page; only the lock goes away.
-      HandleRetainedRelease(msg.src, msg.pages, /*drop_directory=*/false);
+      HandleRetainedRelease(msg->src, msg->pages, /*drop_directory=*/false);
       break;
     default:
       break;
   }
 }
 
-sim::Task<void> CallbackServer::HandleRead(net::Message msg) {
+sim::Task<void> CallbackServer::HandleRead(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   std::vector<db::PageId> all_pages(msg.pages.begin(), msg.pages.end());
@@ -428,15 +424,15 @@ sim::Task<void> CallbackServer::HandleRead(net::Message msg) {
       if (!state->aborted) {
         co_await s_.AbortPipeline(*state);
       }
-      net::Message reply;
-      reply.type = net::MsgType::kReadReply;
-      reply.aborted = true;
+      net::MessagePtr reply = net::NewMessage();
+      reply->type = net::MsgType::kReadReply;
+      reply->aborted = true;
       co_await s_.Reply(msg, std::move(reply));
       co_return;
     }
   }
-  net::Message reply;
-  reply.type = net::MsgType::kReadReply;
+  net::MessagePtr reply = net::NewMessage();
+  reply->type = net::MsgType::kReadReply;
   std::vector<db::PageId> to_read(msg.fetch_pages.begin(),
                                   msg.fetch_pages.end());
   for (std::size_t i = 0; i < msg.pages.size(); ++i) {
@@ -448,12 +444,12 @@ sim::Task<void> CallbackServer::HandleRead(net::Message msg) {
       to_read.push_back(page);
     }
   }
-  co_await s_.ReadPagesToClient(*state, std::move(to_read), &reply,
+  co_await s_.ReadPagesToClient(*state, std::move(to_read), reply.get(),
                                 /*record_reads=*/true);
   co_await s_.Reply(msg, std::move(reply));
 }
 
-sim::Task<void> CallbackServer::HandleUpgrade(net::Message msg) {
+sim::Task<void> CallbackServer::HandleUpgrade(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   for (db::PageId page : msg.pages) {
@@ -471,28 +467,28 @@ sim::Task<void> CallbackServer::HandleUpgrade(net::Message msg) {
       if (!state->aborted) {
         co_await s_.AbortPipeline(*state);
       }
-      net::Message reply;
-      reply.type = net::MsgType::kUpgradeReply;
-      reply.aborted = true;
+      net::MessagePtr reply = net::NewMessage();
+      reply->type = net::MsgType::kUpgradeReply;
+      reply->aborted = true;
       co_await s_.Reply(msg, std::move(reply));
       co_return;
     }
   }
-  net::Message reply;
-  reply.type = net::MsgType::kUpgradeReply;
+  net::MessagePtr reply = net::NewMessage();
+  reply->type = net::MsgType::kUpgradeReply;
   co_await s_.Reply(msg, std::move(reply));
 }
 
-sim::Task<void> CallbackServer::HandleCommit(net::Message msg) {
+sim::Task<void> CallbackServer::HandleCommit(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   if (state->aborted || state->done) {
     // Only reachable with fault injection: the transaction was aborted
     // (GC, crash) while this commit was queued or in flight.
     CCSIM_CHECK(s_.resilient());
-    net::Message reply;
-    reply.type = net::MsgType::kCommitReply;
-    reply.aborted = true;
+    net::MessagePtr reply = net::NewMessage();
+    reply->type = net::MsgType::kCommitReply;
+    reply->aborted = true;
     co_await s_.Reply(msg, std::move(reply));
     co_return;
   }
@@ -503,13 +499,13 @@ sim::Task<void> CallbackServer::HandleCommit(net::Message msg) {
   }
   co_await s_.InstallClientUpdates(*state, msg.data_pages, state->uid,
                                    /*charge_cpu=*/true);
-  net::Message reply;
-  reply.type = net::MsgType::kCommitReply;
+  net::MessagePtr reply = net::NewMessage();
+  reply->type = net::MsgType::kCommitReply;
   if (!s_.ValidateCommitForRecovery(*state, msg)) {
     // Recovery mode: a lease force-release let a rival update a page this
     // transaction read locally, or a dirty eviction never arrived.
-    reply.aborted = true;
-    reply.pages = std::move(state->stale_pages);
+    reply->aborted = true;
+    reply->pages = std::move(state->stale_pages);
     if (!state->aborted && !state->done) {
       co_await s_.AbortPipeline(*state);
     } else {
@@ -518,7 +514,7 @@ sim::Task<void> CallbackServer::HandleCommit(net::Message msg) {
     co_await s_.Reply(msg, std::move(reply));
     co_return;
   }
-  co_await s_.FinalizeCommit(*state, &reply);
+  co_await s_.FinalizeCommit(*state, reply.get());
   // Lock disposition: the transaction's locks become retained locks of the
   // client. Only read locks are retained (write locks are downgraded)
   // unless the retain-write-locks ablation is on. Pages another
@@ -529,7 +525,7 @@ sim::Task<void> CallbackServer::HandleCommit(net::Message msg) {
   for (db::PageId page : s_.locks().PagesHeldBy(state->uid)) {
     if (s_.locks().HasWaiters(page)) {
       s_.locks().Release(state->uid, page);
-      reply.released_pages.push_back(page);
+      reply->released_pages.push_back(page);
       continue;
     }
     if (!retain_write_locks_ &&
@@ -561,7 +557,7 @@ void CallbackServer::OnClientReset(int client) {
   }
 }
 
-sim::Task<void> CallbackServer::HandleDirtyEvict(net::Message msg) {
+sim::Task<void> CallbackServer::HandleDirtyEvict(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   if (state == nullptr || state->aborted || state->done) {
     co_return;

@@ -39,11 +39,11 @@ class CallbackClient : public ClientProtocol {
   sim::Task<bool> Commit(const workload::TransactionSpec& spec) override;
 
  private:
-  /// Drains the piggyback queue of retained-lock eviction notices.
-  std::vector<db::PageId> TakeEvictNotices() {
-    std::vector<db::PageId> out;
-    out.swap(pending_evict_notices_);
-    return out;
+  /// Drains the piggyback queue of retained-lock eviction notices into
+  /// `msg` (the queue keeps its capacity).
+  void AttachEvictNotices(net::Message& msg) {
+    msg.evicted_pages = pending_evict_notices_;
+    pending_evict_notices_.clear();
   }
 
   bool retain_write_locks_;
@@ -64,15 +64,15 @@ class CallbackServer : public ServerProtocol {
   CallbackServer(server::Server* server, bool retain_write_locks);
 
 
-  sim::Process Handle(net::Message msg) override;
+  sim::Process Handle(net::MessagePtr msg) override;
   void OnCrash() override;
   void OnClientReset(int client) override;
 
  private:
-  sim::Task<void> HandleRead(net::Message msg);
-  sim::Task<void> HandleUpgrade(net::Message msg);
-  sim::Task<void> HandleCommit(net::Message msg);
-  sim::Task<void> HandleDirtyEvict(net::Message msg);
+  sim::Task<void> HandleRead(const net::Message& msg);
+  sim::Task<void> HandleUpgrade(const net::Message& msg);
+  sim::Task<void> HandleCommit(const net::Message& msg);
+  sim::Task<void> HandleDirtyEvict(const net::Message& msg);
   void HandleRetainedRelease(int client, std::span<const db::PageId> pages,
                              bool drop_directory);
 

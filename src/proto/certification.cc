@@ -9,14 +9,14 @@
 namespace ccsim::proto {
 
 sim::Task<bool> CertificationClient::ReadObject(const workload::Step& step) {
-  std::vector<db::PageId> check;
-  std::vector<std::uint64_t> check_versions;
-  std::vector<db::PageId> fetch;
+  // Built in place: cached pages to validate (with their versions) and
+  // uncached pages to fetch.
+  net::MessagePtr request = net::NewMessage();
   for (db::PageId page : step.read_pages) {
     client::CachedPage* entry = c_.cache().Touch(page);
     if (entry == nullptr) {
       c_.cache().RecordMiss();
-      fetch.push_back(page);
+      request->fetch_pages.push_back(page);
       continue;
     }
     if (entry->checked_this_xact) {
@@ -25,39 +25,36 @@ sim::Task<bool> CertificationClient::ReadObject(const workload::Step& step) {
       read_set_.emplace(page, entry->version);
       continue;
     }
-    check.push_back(page);
-    check_versions.push_back(entry->version);
+    request->pages.push_back(page);
+    request->versions.push_back(entry->version);
     c_.cache().Pin(page);
   }
 
-  if (!check.empty() || !fetch.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kReadRequest;
-    request.xact = c_.current_xact();
-    request.pages = check;
-    request.versions = check_versions;
-    request.fetch_pages = fetch;
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
+  if (!request->pages.empty() || !request->fetch_pages.empty()) {
+    request->type = net::MsgType::kReadRequest;
+    request->xact = c_.current_xact();
+    const net::PageList check = request->pages;
+    net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+    if (reply->aborted) {
       // Only possible when the attempt is already dead server-side.
-      c_.NoteAbort(c_.current_xact(), reply.pages);
+      c_.NoteAbort(c_.current_xact(), reply->pages);
       co_return false;
     }
-    for (std::size_t i = 0; i < reply.data_pages.size(); ++i) {
-      const db::PageId page = reply.data_pages[i];
+    for (std::size_t i = 0; i < reply->data_pages.size(); ++i) {
+      const db::PageId page = reply->data_pages[i];
       client::CachedPage* entry = c_.cache().Find(page);
       if (entry != nullptr) {
-        entry->version = reply.data_versions[i];
+        entry->version = reply->data_versions[i];
       } else {
         client::CachedPage info;
-        info.version = reply.data_versions[i];
+        info.version = reply->data_versions[i];
         co_await c_.InstallPage(page, info);
       }
     }
     for (db::PageId page : check) {
       const bool refreshed =
-          std::find(reply.data_pages.begin(), reply.data_pages.end(), page) !=
-          reply.data_pages.end();
+          std::find(reply->data_pages.begin(), reply->data_pages.end(), page) !=
+          reply->data_pages.end();
       if (refreshed) {
         c_.cache().RecordMiss();
       } else {
@@ -91,24 +88,24 @@ sim::Task<bool> CertificationClient::UpdateObject(const workload::Step& step) {
 sim::Task<bool> CertificationClient::Commit(
     const workload::TransactionSpec& spec) {
   (void)spec;
-  net::Message request;
-  request.type = net::MsgType::kCommitRequest;
-  request.xact = c_.current_xact();
-  request.data_pages = c_.cache().DirtyPages();
+  net::MessagePtr request = net::NewMessage();
+  request->type = net::MsgType::kCommitRequest;
+  request->xact = c_.current_xact();
+  request->data_pages = c_.cache().DirtyPages();
   for (const auto& [page, version] : read_set_) {
-    request.read_set.push_back(page);
-    request.read_versions.push_back(version);
+    request->read_set.push_back(page);
+    request->read_versions.push_back(version);
   }
-  net::Message reply = co_await c_.Rpc(std::move(request));
-  if (reply.aborted) {
-    c_.NoteAbort(c_.current_xact(), reply.pages);
+  net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+  if (reply->aborted) {
+    c_.NoteAbort(c_.current_xact(), reply->pages);
     c_.set_last_abort_kind(runner::AbortKind::kCertification);
     co_return false;
   }
-  for (std::size_t i = 0; i < reply.pages.size(); ++i) {
-    client::CachedPage* entry = c_.cache().Find(reply.pages[i]);
+  for (std::size_t i = 0; i < reply->pages.size(); ++i) {
+    client::CachedPage* entry = c_.cache().Find(reply->pages[i]);
     if (entry != nullptr) {
-      entry->version = reply.versions[i];
+      entry->version = reply->versions[i];
       entry->dirty = false;
     }
   }
@@ -131,20 +128,20 @@ sim::Task<void> CertificationClient::OnAttemptEnd(bool committed) {
   co_return;
 }
 
-sim::Process CertificationServer::Handle(net::Message msg) {
-  switch (msg.type) {
+sim::Process CertificationServer::Handle(net::MessagePtr msg) {
+  switch (msg->type) {
     case net::MsgType::kReadRequest:
-      co_await HandleRead(std::move(msg));
+      co_await HandleRead(*msg);
       break;
     case net::MsgType::kCommitRequest:
-      co_await HandleCommit(std::move(msg));
+      co_await HandleCommit(*msg);
       break;
     case net::MsgType::kDirtyEvict: {
       // An updated page left the client cache early: stage it in the
       // transaction's private buffer at the server until certification.
-      server::XactState* state = s_.FindXact(msg.xact);
+      server::XactState* state = s_.FindXact(msg->xact);
       if (state != nullptr && !state->done) {
-        for (db::PageId page : msg.data_pages) {
+        for (db::PageId page : msg->data_pages) {
           state->deferred.insert(page);
         }
       }
@@ -155,11 +152,11 @@ sim::Process CertificationServer::Handle(net::Message msg) {
   }
 }
 
-sim::Task<void> CertificationServer::HandleRead(net::Message msg) {
+sim::Task<void> CertificationServer::HandleRead(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
-  net::Message reply;
-  reply.type = net::MsgType::kReadReply;
+  net::MessagePtr reply = net::NewMessage();
+  reply->type = net::MsgType::kReadReply;
   std::vector<db::PageId> to_read(msg.fetch_pages.begin(),
                                   msg.fetch_pages.end());
   for (std::size_t i = 0; i < msg.pages.size(); ++i) {
@@ -171,21 +168,21 @@ sim::Task<void> CertificationServer::HandleRead(net::Message msg) {
     }
   }
   // Certification records its read set at commit time, not here.
-  co_await s_.ReadPagesToClient(*state, std::move(to_read), &reply,
+  co_await s_.ReadPagesToClient(*state, std::move(to_read), reply.get(),
                                 /*record_reads=*/false);
   co_await s_.Reply(msg, std::move(reply));
 }
 
-sim::Task<void> CertificationServer::HandleCommit(net::Message msg) {
+sim::Task<void> CertificationServer::HandleCommit(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   if (state->aborted || state->done) {
     // Only reachable with fault injection: the transaction was aborted
     // (GC, crash) while this commit was queued or in flight.
     CCSIM_CHECK(s_.resilient());
-    net::Message reply;
-    reply.type = net::MsgType::kCommitReply;
-    reply.aborted = true;
+    net::MessagePtr reply = net::NewMessage();
+    reply->type = net::MsgType::kCommitReply;
+    reply->aborted = true;
     co_await s_.Reply(msg, std::move(reply));
     co_return;
   }
@@ -203,10 +200,10 @@ sim::Task<void> CertificationServer::HandleCommit(net::Message msg) {
   if (!stale.empty()) {
     state->stale_pages = stale;
     co_await s_.AbortPipeline(*state);
-    net::Message reply;
-    reply.type = net::MsgType::kCommitReply;
-    reply.aborted = true;
-    reply.pages = std::move(stale);
+    net::MessagePtr reply = net::NewMessage();
+    reply->type = net::MsgType::kCommitReply;
+    reply->aborted = true;
+    reply->pages = std::move(stale);
     co_await s_.Reply(msg, std::move(reply));
     co_return;
   }
@@ -225,19 +222,19 @@ sim::Task<void> CertificationServer::HandleCommit(net::Message msg) {
   for (db::PageId page : updates) {
     state->updated.insert(page);
   }
-  net::Message reply;
-  reply.type = net::MsgType::kCommitReply;
+  net::MessagePtr reply = net::NewMessage();
+  reply->type = net::MsgType::kCommitReply;
   if (!s_.ValidateCommitForRecovery(*state, msg)) {
     // Recovery mode: a dirty eviction never arrived (updated-set gap), so
     // committing would lose that update. (Reads were just re-validated
     // above, so only the coverage check can fail here.)
-    reply.aborted = true;
-    reply.pages = std::move(state->stale_pages);
+    reply->aborted = true;
+    reply->pages = std::move(state->stale_pages);
     co_await s_.AbortPipeline(*state);
     co_await s_.Reply(msg, std::move(reply));
     co_return;
   }
-  s_.BumpVersionsAndRecord(*state, &reply);
+  s_.BumpVersionsAndRecord(*state, reply.get());
   // Merge the deferred updates into the database (the "update queue" of
   // paper Figure 4); they are committed data now.
   co_await s_.InstallClientUpdates(*state, updates,

@@ -51,11 +51,11 @@ class CertificationServer : public ServerProtocol {
                                bool skip_validation = false)
       : ServerProtocol(server), skip_validation_(skip_validation) {}
 
-  sim::Process Handle(net::Message msg) override;
+  sim::Process Handle(net::MessagePtr msg) override;
 
  private:
-  sim::Task<void> HandleRead(net::Message msg);
-  sim::Task<void> HandleCommit(net::Message msg);
+  sim::Task<void> HandleRead(const net::Message& msg);
+  sim::Task<void> HandleCommit(const net::Message& msg);
 
   const bool skip_validation_;
 };

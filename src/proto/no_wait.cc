@@ -11,14 +11,16 @@ namespace ccsim::proto {
 // --- client ---
 
 sim::Task<bool> NoWaitClient::ReadObject(const workload::Step& step) {
-  std::vector<db::PageId> async_pages;
-  std::vector<std::uint64_t> async_versions;
-  std::vector<db::PageId> fetch;
+  // Both requests are built in place: the asynchronous lock+validate of
+  // cached pages used optimistically, and the synchronous fetch of the
+  // rest.
+  net::MessagePtr lock_request = net::NewMessage();
+  net::MessagePtr fetch_request = net::NewMessage();
   for (db::PageId page : step.read_pages) {
     client::CachedPage* entry = c_.cache().Touch(page);
     if (entry == nullptr) {
       c_.cache().RecordMiss();
-      fetch.push_back(page);
+      fetch_request->fetch_pages.push_back(page);
       continue;
     }
     if (entry->lease_until != 0 && !entry->requested_this_xact &&
@@ -28,7 +30,7 @@ sim::Task<bool> NoWaitClient::ReadObject(const workload::Step& step) {
       c_.metrics().RecordLeaseExpiry();
       c_.cache().RecordMiss();
       entry->lease_until = 0;
-      fetch.push_back(page);
+      fetch_request->fetch_pages.push_back(page);
       continue;
     }
     c_.cache().RecordHit();
@@ -44,8 +46,8 @@ sim::Task<bool> NoWaitClient::ReadObject(const workload::Step& step) {
       }
       // Optimistically use the cached copy; ask the server to lock and
       // validate it in the background.
-      async_pages.push_back(page);
-      async_versions.push_back(entry->version);
+      lock_request->pages.push_back(page);
+      lock_request->versions.push_back(entry->version);
       entry->requested_this_xact = true;
       entry->lock = client::PageLock::kShared;
       if (c_.resilient()) {
@@ -53,44 +55,39 @@ sim::Task<bool> NoWaitClient::ReadObject(const workload::Step& step) {
       }
     }
   }
-  if (!async_pages.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kNoWaitLock;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kShared;
-    request.pages = std::move(async_pages);
-    request.versions = std::move(async_versions);
-    co_await c_.SendAsync(std::move(request));
+  if (!lock_request->pages.empty()) {
+    lock_request->type = net::MsgType::kNoWaitLock;
+    lock_request->xact = c_.current_xact();
+    lock_request->mode = lock::LockMode::kShared;
+    co_await c_.SendAsync(std::move(lock_request));
   }
-  if (!fetch.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kReadRequest;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kShared;
-    request.fetch_pages = fetch;
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      c_.NoteAbort(c_.current_xact(), reply.pages);
+  if (!fetch_request->fetch_pages.empty()) {
+    fetch_request->type = net::MsgType::kReadRequest;
+    fetch_request->xact = c_.current_xact();
+    fetch_request->mode = lock::LockMode::kShared;
+    net::MessagePtr reply = co_await c_.Rpc(std::move(fetch_request));
+    if (reply->aborted) {
+      c_.NoteAbort(c_.current_xact(), reply->pages);
       co_return false;
     }
-    for (std::size_t i = 0; i < reply.data_pages.size(); ++i) {
-      const db::PageId page = reply.data_pages[i];
+    for (std::size_t i = 0; i < reply->data_pages.size(); ++i) {
+      const db::PageId page = reply->data_pages[i];
       client::CachedPage* entry = c_.cache().Find(page);
       if (entry == nullptr) {
         client::CachedPage info;
-        info.version = reply.data_versions[i];
+        info.version = reply->data_versions[i];
         info.requested_this_xact = true;
         info.lock = client::PageLock::kShared;
         co_await c_.InstallPage(page, info);
       } else {
-        entry->version = reply.data_versions[i];
+        entry->version = reply->data_versions[i];
         entry->requested_this_xact = true;
         entry->lock = client::PageLock::kShared;
         entry->lease_until = 0;
         c_.cache().Pin(page);
       }
       if (c_.resilient()) {
-        read_set_[page] = reply.data_versions[i];
+        read_set_[page] = reply->data_versions[i];
       }
     }
   }
@@ -99,7 +96,7 @@ sim::Task<bool> NoWaitClient::ReadObject(const workload::Step& step) {
 }
 
 sim::Task<bool> NoWaitClient::UpdateObject(const workload::Step& step) {
-  std::vector<db::PageId> upgrade;
+  net::MessagePtr request = net::NewMessage();
   for (db::PageId page : step.write_pages) {
     client::CachedPage* entry = c_.cache().Find(page);
     CCSIM_CHECK(entry != nullptr);
@@ -107,16 +104,14 @@ sim::Task<bool> NoWaitClient::UpdateObject(const workload::Step& step) {
     c_.NoteUpdated(page);
     if (entry->lock != client::PageLock::kExclusive) {
       entry->lock = client::PageLock::kExclusive;
-      upgrade.push_back(page);
+      request->pages.push_back(page);
     }
   }
-  if (!upgrade.empty()) {
+  if (!request->pages.empty()) {
     // Fire-and-forget upgrade: the server aborts us on deadlock.
-    net::Message request;
-    request.type = net::MsgType::kNoWaitLock;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kExclusive;
-    request.pages = std::move(upgrade);
+    request->type = net::MsgType::kNoWaitLock;
+    request->xact = c_.current_xact();
+    request->mode = lock::LockMode::kExclusive;
     co_await c_.SendAsync(std::move(request));
   }
   co_await c_.ChargePageProcessing(static_cast<int>(step.write_pages.size()));
@@ -125,28 +120,28 @@ sim::Task<bool> NoWaitClient::UpdateObject(const workload::Step& step) {
 
 sim::Task<bool> NoWaitClient::Commit(const workload::TransactionSpec& spec) {
   (void)spec;
-  net::Message request;
-  request.type = net::MsgType::kCommitRequest;
-  request.xact = c_.current_xact();
-  request.data_pages = c_.cache().DirtyPages();
+  net::MessagePtr request = net::NewMessage();
+  request->type = net::MsgType::kCommitRequest;
+  request->xact = c_.current_xact();
+  request->data_pages = c_.cache().DirtyPages();
   if (c_.resilient()) {
     // A fire-and-forget lock request may have been dropped, leaving a read
     // neither locked nor validated; the commit-time backward validation
     // over this read set is the safety net.
     for (const auto& [page, version] : read_set_) {
-      request.read_set.push_back(page);
-      request.read_versions.push_back(version);
+      request->read_set.push_back(page);
+      request->read_versions.push_back(version);
     }
   }
-  net::Message reply = co_await c_.Rpc(std::move(request));
-  if (reply.aborted) {
-    c_.NoteAbort(c_.current_xact(), reply.pages);
+  net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+  if (reply->aborted) {
+    c_.NoteAbort(c_.current_xact(), reply->pages);
     co_return false;
   }
-  for (std::size_t i = 0; i < reply.pages.size(); ++i) {
-    client::CachedPage* entry = c_.cache().Find(reply.pages[i]);
+  for (std::size_t i = 0; i < reply->pages.size(); ++i) {
+    client::CachedPage* entry = c_.cache().Find(reply->pages[i]);
     if (entry != nullptr) {
-      entry->version = reply.versions[i];
+      entry->version = reply->versions[i];
       entry->dirty = false;
     }
   }
@@ -160,19 +155,19 @@ sim::Task<void> NoWaitClient::OnAttemptEnd(bool committed) {
 
 // --- server ---
 
-sim::Process NoWaitServer::Handle(net::Message msg) {
-  switch (msg.type) {
+sim::Process NoWaitServer::Handle(net::MessagePtr msg) {
+  switch (msg->type) {
     case net::MsgType::kNoWaitLock:
-      co_await HandleNoWaitLock(std::move(msg));
+      co_await HandleNoWaitLock(*msg);
       break;
     case net::MsgType::kReadRequest:
-      co_await HandleRead(std::move(msg));
+      co_await HandleRead(*msg);
       break;
     case net::MsgType::kCommitRequest:
-      co_await HandleCommit(std::move(msg));
+      co_await HandleCommit(*msg);
       break;
     case net::MsgType::kDirtyEvict:
-      co_await HandleDirtyEvict(std::move(msg));
+      co_await HandleDirtyEvict(*msg);
       break;
     default:
       break;
@@ -185,15 +180,15 @@ sim::Task<void> NoWaitServer::AbortWithNotice(server::XactState& state) {
   }
   const std::vector<db::PageId> stale = state.stale_pages;
   co_await s_.AbortPipeline(state);
-  net::Message notice;
-  notice.type = net::MsgType::kAbortNotice;
-  notice.dst = state.client;
-  notice.xact = state.uid;
-  notice.pages = stale;
+  net::MessagePtr notice = net::NewMessage();
+  notice->type = net::MsgType::kAbortNotice;
+  notice->dst = state.client;
+  notice->xact = state.uid;
+  notice->pages = stale;
   co_await s_.Send(std::move(notice));
 }
 
-sim::Task<void> NoWaitServer::HandleNoWaitLock(net::Message msg) {
+sim::Task<void> NoWaitServer::HandleNoWaitLock(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   ++state->pending_async;
@@ -229,7 +224,7 @@ sim::Task<void> NoWaitServer::HandleNoWaitLock(net::Message msg) {
   }
 }
 
-sim::Task<void> NoWaitServer::HandleRead(net::Message msg) {
+sim::Task<void> NoWaitServer::HandleRead(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   for (db::PageId page : msg.fetch_pages) {
@@ -247,21 +242,21 @@ sim::Task<void> NoWaitServer::HandleRead(net::Message msg) {
     }
   }
   if (state->aborted) {
-    net::Message reply;
-    reply.type = net::MsgType::kReadReply;
-    reply.aborted = true;
-    reply.pages = state->stale_pages;
+    net::MessagePtr reply = net::NewMessage();
+    reply->type = net::MsgType::kReadReply;
+    reply->aborted = true;
+    reply->pages = state->stale_pages;
     co_await s_.Reply(msg, std::move(reply));
     co_return;
   }
-  net::Message reply;
-  reply.type = net::MsgType::kReadReply;
-  co_await s_.ReadPagesToClient(*state, msg.fetch_pages, &reply,
+  net::MessagePtr reply = net::NewMessage();
+  reply->type = net::MsgType::kReadReply;
+  co_await s_.ReadPagesToClient(*state, msg.fetch_pages, reply.get(),
                                 /*record_reads=*/true);
   co_await s_.Reply(msg, std::move(reply));
 }
 
-sim::Task<void> NoWaitServer::HandleCommit(net::Message msg) {
+sim::Task<void> NoWaitServer::HandleCommit(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   // The client may commit only after every outstanding request has been
@@ -273,10 +268,10 @@ sim::Task<void> NoWaitServer::HandleCommit(net::Message msg) {
   if (state->aborted) {
     // The asynchronous notice is (or will be) on its way; answer the commit
     // too so the client does not hang on the RPC.
-    net::Message reply;
-    reply.type = net::MsgType::kCommitReply;
-    reply.aborted = true;
-    reply.pages = state->stale_pages;
+    net::MessagePtr reply = net::NewMessage();
+    reply->type = net::MsgType::kCommitReply;
+    reply->aborted = true;
+    reply->pages = state->stale_pages;
     co_await s_.Reply(msg, std::move(reply));
     co_return;
   }
@@ -289,13 +284,13 @@ sim::Task<void> NoWaitServer::HandleCommit(net::Message msg) {
     co_await s_.InstallClientUpdates(*state, deferred, state->uid,
                                      /*charge_cpu=*/false);
   }
-  net::Message reply;
-  reply.type = net::MsgType::kCommitReply;
+  net::MessagePtr reply = net::NewMessage();
+  reply->type = net::MsgType::kCommitReply;
   if (!s_.ValidateCommitForRecovery(*state, msg)) {
     // Recovery mode: a lost lock request left a read unvalidated and it
     // went stale, or a dirty eviction never arrived.
-    reply.aborted = true;
-    reply.pages = std::move(state->stale_pages);
+    reply->aborted = true;
+    reply->pages = std::move(state->stale_pages);
     if (!state->aborted && !state->done) {
       co_await s_.AbortPipeline(*state);
     } else {
@@ -304,15 +299,21 @@ sim::Task<void> NoWaitServer::HandleCommit(net::Message msg) {
     co_await s_.Reply(msg, std::move(reply));
     co_return;
   }
-  co_await s_.FinalizeCommit(*state, &reply);
+  co_await s_.FinalizeCommit(*state, reply.get());
   s_.locks().ReleaseAll(state->uid);
-  co_await s_.Reply(msg, reply);
-  if (notify_) {
-    co_await PropagateUpdates(*state, reply);
+  if (!notify_) {
+    co_await s_.Reply(msg, std::move(reply));
+    co_return;
   }
+  // The reply leaves with Reply(); the propagation still needs the new
+  // versions it carries.
+  const net::PageList pages = reply->pages;
+  const net::VersionList versions = reply->versions;
+  co_await s_.Reply(msg, std::move(reply));
+  co_await PropagateUpdates(*state, pages, versions);
 }
 
-sim::Task<void> NoWaitServer::HandleDirtyEvict(net::Message msg) {
+sim::Task<void> NoWaitServer::HandleDirtyEvict(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   if (state == nullptr || state->aborted || state->done) {
     co_return;
@@ -335,13 +336,14 @@ sim::Task<void> NoWaitServer::HandleDirtyEvict(net::Message msg) {
 }
 
 sim::Task<void> NoWaitServer::PropagateUpdates(
-    const server::XactState& state, const net::Message& commit_reply) {
+    const server::XactState& state, const net::PageList& pages,
+    const net::VersionList& versions) {
   // Group the committed pages by caching client so each client gets one
   // message (paper §2.5: the server sends the updated copies).
-  std::unordered_map<int, net::Message> per_client;
-  for (std::size_t i = 0; i < commit_reply.pages.size(); ++i) {
-    const db::PageId page = commit_reply.pages[i];
-    const std::uint64_t version = commit_reply.versions[i];
+  std::unordered_map<int, net::MessagePtr> per_client;
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    const db::PageId page = pages[i];
+    const std::uint64_t version = versions[i];
     std::vector<int> targets;
     if (notify_broadcast_) {
       // Broadcast variant (paper §6): no directory, every other client.
@@ -355,7 +357,11 @@ sim::Task<void> NoWaitServer::PropagateUpdates(
       targets = s_.directory().ClientsCaching(page, state.client);
     }
     for (int client : targets) {
-      net::Message& msg = per_client[client];
+      net::MessagePtr& slot = per_client[client];
+      if (slot == nullptr) {
+        slot = net::NewMessage();
+      }
+      net::Message& msg = *slot;
       msg.type = net::MsgType::kUpdatePropagation;
       msg.dst = client;
       msg.invalidate = notify_invalidate_;
@@ -372,7 +378,7 @@ sim::Task<void> NoWaitServer::PropagateUpdates(
   for (auto& [client, msg] : per_client) {
     if (notify_invalidate_) {
       // The client drops these pages; align the directory with that.
-      for (db::PageId page : msg.pages) {
+      for (db::PageId page : msg->pages) {
         s_.directory().Drop(client, page);
       }
     } else if (s_.page_processing_cost() > 0) {
@@ -380,7 +386,7 @@ sim::Task<void> NoWaitServer::PropagateUpdates(
       // like any other page read (this is the server-CPU contention that
       // makes notification expensive in the paper's §5.1/§5.3 regimes).
       co_await s_.cpu().Use(s_.page_processing_cost() *
-                            static_cast<sim::Ticks>(msg.data_pages.size()));
+                            static_cast<sim::Ticks>(msg->data_pages.size()));
     }
     co_await s_.Send(std::move(msg));
   }

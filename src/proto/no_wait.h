@@ -45,23 +45,24 @@ class NoWaitServer : public ServerProtocol {
         notify_invalidate_(notify_invalidate),
         notify_broadcast_(notify_broadcast) {}
 
-  sim::Process Handle(net::Message msg) override;
+  sim::Process Handle(net::MessagePtr msg) override;
 
  private:
-  sim::Task<void> HandleNoWaitLock(net::Message msg);
-  sim::Task<void> HandleRead(net::Message msg);
-  sim::Task<void> HandleCommit(net::Message msg);
-  sim::Task<void> HandleDirtyEvict(net::Message msg);
+  sim::Task<void> HandleNoWaitLock(const net::Message& msg);
+  sim::Task<void> HandleRead(const net::Message& msg);
+  sim::Task<void> HandleCommit(const net::Message& msg);
+  sim::Task<void> HandleDirtyEvict(const net::Message& msg);
 
   /// Aborts the transaction server-side and sends the asynchronous abort
   /// notice (with the stale pages collected so far). No-op when already
   /// aborted.
   sim::Task<void> AbortWithNotice(server::XactState& state);
 
-  /// Propagates the committed updates in `state.updated` to caching
-  /// clients.
+  /// Propagates the committed updates (`pages` at their new `versions`)
+  /// to caching clients.
   sim::Task<void> PropagateUpdates(const server::XactState& state,
-                                   const net::Message& commit_reply);
+                                   const net::PageList& pages,
+                                   const net::VersionList& versions);
 
   bool notify_;
   bool notify_invalidate_;

@@ -108,19 +108,19 @@ sim::Task<void> ClientProtocol::HandleEvictions(
       // Updated pages leave the cache mid-transaction: ship to the server
       // (paper §2: "updates are sent to the server either when an updated
       // object is swapped out of the client cache or at commit time").
-      net::Message msg;
-      msg.type = net::MsgType::kDirtyEvict;
-      msg.xact = c_.current_xact();
-      msg.data_pages.push_back(victim.page);
-      msg.data_versions.push_back(victim.info.version);
+      net::MessagePtr msg = net::NewMessage();
+      msg->type = net::MsgType::kDirtyEvict;
+      msg->xact = c_.current_xact();
+      msg->data_pages.push_back(victim.page);
+      msg->data_versions.push_back(victim.info.version);
       co_await c_.SendAsync(std::move(msg));
     } else if (victim.info.retained) {
       // Callback locking: the server must learn that the retained lock is
       // gone (paper §3.3.3).
-      net::Message msg;
-      msg.type = net::MsgType::kEvictNotice;
-      msg.xact = 0;
-      msg.pages.push_back(victim.page);
+      net::MessagePtr msg = net::NewMessage();
+      msg->type = net::MsgType::kEvictNotice;
+      msg->xact = 0;
+      msg->pages.push_back(victim.page);
       co_await c_.SendAsync(std::move(msg));
     }
   }

@@ -73,8 +73,9 @@ class ServerProtocol {
 
   /// Handles one dispatched message; spawned as its own process so handlers
   /// for different messages interleave (and block independently on locks,
-  /// disks, and the CPU).
-  virtual sim::Process Handle(net::Message msg) = 0;
+  /// disks, and the CPU). The process owns the message until it finishes;
+  /// per-type handlers it awaits borrow it by reference.
+  virtual sim::Process Handle(net::MessagePtr msg) = 0;
 
   /// Recovery mode: the server crashed; algorithm-private volatile state
   /// (outstanding callbacks, pending invalidations, ...) is gone.

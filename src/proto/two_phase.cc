@@ -8,14 +8,14 @@
 namespace ccsim::proto {
 
 sim::Task<bool> TwoPhaseClient::ReadObject(const workload::Step& step) {
-  std::vector<db::PageId> check;
-  std::vector<std::uint64_t> check_versions;
-  std::vector<db::PageId> fetch;
+  // Built in place: cached pages to validate (with their versions) and
+  // uncached pages to fetch.
+  net::MessagePtr request = net::NewMessage();
   for (db::PageId page : step.read_pages) {
     client::CachedPage* entry = c_.cache().Touch(page);
     if (entry == nullptr) {
       c_.cache().RecordMiss();
-      fetch.push_back(page);
+      request->fetch_pages.push_back(page);
       continue;
     }
     if (entry->lock != client::PageLock::kNone) {
@@ -25,40 +25,37 @@ sim::Task<bool> TwoPhaseClient::ReadObject(const workload::Step& step) {
       c_.cache().Pin(page);
       continue;
     }
-    check.push_back(page);
-    check_versions.push_back(entry->version);
+    request->pages.push_back(page);
+    request->versions.push_back(entry->version);
     c_.cache().Pin(page);
   }
 
-  if (!check.empty() || !fetch.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kReadRequest;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kShared;
-    request.pages = check;
-    request.versions = check_versions;
-    request.fetch_pages = fetch;
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      c_.NoteAbort(c_.current_xact(), reply.pages);
+  if (!request->pages.empty() || !request->fetch_pages.empty()) {
+    request->type = net::MsgType::kReadRequest;
+    request->xact = c_.current_xact();
+    request->mode = lock::LockMode::kShared;
+    const net::PageList check = request->pages;
+    net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+    if (reply->aborted) {
+      c_.NoteAbort(c_.current_xact(), reply->pages);
       co_return false;
     }
-    for (std::size_t i = 0; i < reply.data_pages.size(); ++i) {
-      const db::PageId page = reply.data_pages[i];
+    for (std::size_t i = 0; i < reply->data_pages.size(); ++i) {
+      const db::PageId page = reply->data_pages[i];
       client::CachedPage* entry = c_.cache().Find(page);
       if (entry != nullptr) {
-        entry->version = reply.data_versions[i];  // stale copy refreshed
+        entry->version = reply->data_versions[i];  // stale copy refreshed
       } else {
         client::CachedPage info;
-        info.version = reply.data_versions[i];
+        info.version = reply->data_versions[i];
         co_await c_.InstallPage(page, info);
       }
     }
     // Checked pages that came back with data were stale: count as misses.
     for (db::PageId page : check) {
       const bool refreshed =
-          std::find(reply.data_pages.begin(), reply.data_pages.end(), page) !=
-          reply.data_pages.end();
+          std::find(reply->data_pages.begin(), reply->data_pages.end(), page) !=
+          reply->data_pages.end();
       if (refreshed) {
         c_.cache().RecordMiss();
       } else {
@@ -79,23 +76,22 @@ sim::Task<bool> TwoPhaseClient::ReadObject(const workload::Step& step) {
 }
 
 sim::Task<bool> TwoPhaseClient::UpdateObject(const workload::Step& step) {
-  std::vector<db::PageId> upgrade;
+  net::MessagePtr request = net::NewMessage();
   for (db::PageId page : step.write_pages) {
     client::CachedPage* entry = c_.cache().Find(page);
     CCSIM_CHECK(entry != nullptr);  // the preceding read pinned it
     if (entry->lock != client::PageLock::kExclusive) {
-      upgrade.push_back(page);
+      request->pages.push_back(page);
     }
   }
-  if (!upgrade.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kUpgradeRequest;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kExclusive;
-    request.pages = upgrade;
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      c_.NoteAbort(c_.current_xact(), reply.pages);
+  if (!request->pages.empty()) {
+    request->type = net::MsgType::kUpgradeRequest;
+    request->xact = c_.current_xact();
+    request->mode = lock::LockMode::kExclusive;
+    const net::PageList upgrade = request->pages;
+    net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+    if (reply->aborted) {
+      c_.NoteAbort(c_.current_xact(), reply->pages);
       co_return false;
     }
     for (db::PageId page : upgrade) {
@@ -114,45 +110,45 @@ sim::Task<bool> TwoPhaseClient::UpdateObject(const workload::Step& step) {
 
 sim::Task<bool> TwoPhaseClient::Commit(const workload::TransactionSpec& spec) {
   (void)spec;
-  net::Message request;
-  request.type = net::MsgType::kCommitRequest;
-  request.xact = c_.current_xact();
-  request.data_pages = c_.cache().DirtyPages();
-  net::Message reply = co_await c_.Rpc(std::move(request));
-  if (reply.aborted) {
-    c_.NoteAbort(c_.current_xact(), reply.pages);
+  net::MessagePtr request = net::NewMessage();
+  request->type = net::MsgType::kCommitRequest;
+  request->xact = c_.current_xact();
+  request->data_pages = c_.cache().DirtyPages();
+  net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+  if (reply->aborted) {
+    c_.NoteAbort(c_.current_xact(), reply->pages);
     co_return false;
   }
-  for (std::size_t i = 0; i < reply.pages.size(); ++i) {
-    client::CachedPage* entry = c_.cache().Find(reply.pages[i]);
+  for (std::size_t i = 0; i < reply->pages.size(); ++i) {
+    client::CachedPage* entry = c_.cache().Find(reply->pages[i]);
     if (entry != nullptr) {
-      entry->version = reply.versions[i];
+      entry->version = reply->versions[i];
       entry->dirty = false;
     }
   }
   co_return true;
 }
 
-sim::Process TwoPhaseServer::Handle(net::Message msg) {
-  switch (msg.type) {
+sim::Process TwoPhaseServer::Handle(net::MessagePtr msg) {
+  switch (msg->type) {
     case net::MsgType::kReadRequest:
-      co_await HandleRead(std::move(msg));
+      co_await HandleRead(*msg);
       break;
     case net::MsgType::kUpgradeRequest:
-      co_await HandleUpgrade(std::move(msg));
+      co_await HandleUpgrade(*msg);
       break;
     case net::MsgType::kCommitRequest:
-      co_await HandleCommit(std::move(msg));
+      co_await HandleCommit(*msg);
       break;
     case net::MsgType::kDirtyEvict:
-      co_await HandleDirtyEvict(std::move(msg));
+      co_await HandleDirtyEvict(*msg);
       break;
     default:
       break;  // no other message types under 2PL
   }
 }
 
-sim::Task<void> TwoPhaseServer::HandleRead(net::Message msg) {
+sim::Task<void> TwoPhaseServer::HandleRead(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   std::vector<db::PageId> all_pages(msg.pages.begin(), msg.pages.end());
@@ -165,15 +161,15 @@ sim::Task<void> TwoPhaseServer::HandleRead(net::Message msg) {
       if (!state->aborted) {
         co_await s_.AbortPipeline(*state);
       }
-      net::Message reply;
-      reply.type = net::MsgType::kReadReply;
-      reply.aborted = true;
+      net::MessagePtr reply = net::NewMessage();
+      reply->type = net::MsgType::kReadReply;
+      reply->aborted = true;
       co_await s_.Reply(msg, std::move(reply));
       co_return;
     }
   }
-  net::Message reply;
-  reply.type = net::MsgType::kReadReply;
+  net::MessagePtr reply = net::NewMessage();
+  reply->type = net::MsgType::kReadReply;
   // With the locks held, validate the cached versions; stale copies are
   // re-read and shipped fresh.
   std::vector<db::PageId> to_read(msg.fetch_pages.begin(),
@@ -187,12 +183,12 @@ sim::Task<void> TwoPhaseServer::HandleRead(net::Message msg) {
       to_read.push_back(page);
     }
   }
-  co_await s_.ReadPagesToClient(*state, std::move(to_read), &reply,
+  co_await s_.ReadPagesToClient(*state, std::move(to_read), reply.get(),
                                 /*record_reads=*/true);
   co_await s_.Reply(msg, std::move(reply));
 }
 
-sim::Task<void> TwoPhaseServer::HandleUpgrade(net::Message msg) {
+sim::Task<void> TwoPhaseServer::HandleUpgrade(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   for (db::PageId page : msg.pages) {
@@ -202,38 +198,38 @@ sim::Task<void> TwoPhaseServer::HandleUpgrade(net::Message msg) {
       if (!state->aborted) {
         co_await s_.AbortPipeline(*state);
       }
-      net::Message reply;
-      reply.type = net::MsgType::kUpgradeReply;
-      reply.aborted = true;
+      net::MessagePtr reply = net::NewMessage();
+      reply->type = net::MsgType::kUpgradeReply;
+      reply->aborted = true;
       co_await s_.Reply(msg, std::move(reply));
       co_return;
     }
   }
-  net::Message reply;
-  reply.type = net::MsgType::kUpgradeReply;
+  net::MessagePtr reply = net::NewMessage();
+  reply->type = net::MsgType::kUpgradeReply;
   co_await s_.Reply(msg, std::move(reply));
 }
 
-sim::Task<void> TwoPhaseServer::HandleCommit(net::Message msg) {
+sim::Task<void> TwoPhaseServer::HandleCommit(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   if (state->aborted || state->done) {
     // Only reachable with fault injection: the transaction was aborted
     // (GC, crash) while this commit was queued or in flight.
     CCSIM_CHECK(s_.resilient());
-    net::Message reply;
-    reply.type = net::MsgType::kCommitReply;
-    reply.aborted = true;
+    net::MessagePtr reply = net::NewMessage();
+    reply->type = net::MsgType::kCommitReply;
+    reply->aborted = true;
     co_await s_.Reply(msg, std::move(reply));
     co_return;
   }
   co_await s_.InstallClientUpdates(*state, msg.data_pages, state->uid,
                                    /*charge_cpu=*/true);
-  net::Message reply;
-  reply.type = net::MsgType::kCommitReply;
+  net::MessagePtr reply = net::NewMessage();
+  reply->type = net::MsgType::kCommitReply;
   if (!s_.ValidateCommitForRecovery(*state, msg)) {
-    reply.aborted = true;
-    reply.pages = std::move(state->stale_pages);
+    reply->aborted = true;
+    reply->pages = std::move(state->stale_pages);
     if (!state->aborted && !state->done) {
       co_await s_.AbortPipeline(*state);
     } else {
@@ -242,12 +238,12 @@ sim::Task<void> TwoPhaseServer::HandleCommit(net::Message msg) {
     co_await s_.Reply(msg, std::move(reply));
     co_return;
   }
-  co_await s_.FinalizeCommit(*state, &reply);
+  co_await s_.FinalizeCommit(*state, reply.get());
   s_.locks().ReleaseAll(state->uid);
   co_await s_.Reply(msg, std::move(reply));
 }
 
-sim::Task<void> TwoPhaseServer::HandleDirtyEvict(net::Message msg) {
+sim::Task<void> TwoPhaseServer::HandleDirtyEvict(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   if (state == nullptr || state->aborted || state->done) {
     co_return;  // attempt already finished; the data is moot

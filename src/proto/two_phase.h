@@ -41,13 +41,13 @@ class TwoPhaseServer : public ServerProtocol {
  public:
   explicit TwoPhaseServer(server::Server* server) : ServerProtocol(server) {}
 
-  sim::Process Handle(net::Message msg) override;
+  sim::Process Handle(net::MessagePtr msg) override;
 
  private:
-  sim::Task<void> HandleRead(net::Message msg);
-  sim::Task<void> HandleUpgrade(net::Message msg);
-  sim::Task<void> HandleCommit(net::Message msg);
-  sim::Task<void> HandleDirtyEvict(net::Message msg);
+  sim::Task<void> HandleRead(const net::Message& msg);
+  sim::Task<void> HandleUpgrade(const net::Message& msg);
+  sim::Task<void> HandleCommit(const net::Message& msg);
+  sim::Task<void> HandleDirtyEvict(const net::Message& msg);
 };
 
 }  // namespace ccsim::proto

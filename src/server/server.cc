@@ -96,22 +96,22 @@ void Server::Start() {
   }
 }
 
-sim::Task<void> Server::Send(net::Message msg) {
-  msg.src = net::kServerNode;
-  if (resilient_ && msg.request_id == 0) {
+sim::Task<void> Server::Send(net::MessagePtr msg) {
+  msg->src = net::kServerNode;
+  if (resilient_ && msg->request_id == 0) {
     // Asynchronous server messages carry a sequence number so a duplicated
     // callback/propagation/abort-notice is processed once at the client.
-    msg.seq = next_seq_++;
+    msg->seq = next_seq_++;
   }
   co_await network_->Send(std::move(msg));
 }
 
 sim::Task<void> Server::Reply(const net::Message& request,
-                              net::Message reply) {
-  reply.src = net::kServerNode;
-  reply.dst = request.src;
-  reply.xact = request.xact;
-  reply.request_id = request.request_id;
+                              net::MessagePtr reply) {
+  reply->src = net::kServerNode;
+  reply->dst = request.src;
+  reply->xact = request.xact;
+  reply->request_id = request.request_id;
   if (resilient_ && request.request_id != 0 &&
       request.src != net::kServerNode) {
     // At-most-once bookkeeping: the request is no longer in progress, and
@@ -120,7 +120,8 @@ sim::Task<void> Server::Reply(const net::Message& request,
     constexpr std::size_t kReplyCacheSize = 8;
     ClientChannel& channel = channels_[request.src];
     channel.in_progress.erase(request.request_id);
-    channel.replies.emplace_back(request.request_id, reply);
+    channel.replies.emplace_back(request.request_id,
+                                 net::CloneMessage(*reply));
     if (channel.replies.size() > kReplyCacheSize) {
       channel.replies.pop_front();
     }
@@ -128,7 +129,7 @@ sim::Task<void> Server::Reply(const net::Message& request,
   co_await network_->Send(std::move(reply));
 }
 
-sim::Process Server::ResendReply(net::Message reply) {
+sim::Process Server::ResendReply(net::MessagePtr reply) {
   co_await network_->Send(std::move(reply));
 }
 
@@ -184,23 +185,23 @@ void Server::Admit(const net::Message& msg) {
   xacts_.emplace(msg.xact, std::move(state));
 }
 
-sim::Process Server::ReplyAbortedTo(net::Message request) {
-  net::Message reply;
-  switch (request.type) {
+sim::Process Server::ReplyAbortedTo(net::MessagePtr request) {
+  net::MessagePtr reply = net::NewMessage();
+  switch (request->type) {
     case net::MsgType::kReadRequest:
-      reply.type = net::MsgType::kReadReply;
+      reply->type = net::MsgType::kReadReply;
       break;
     case net::MsgType::kUpgradeRequest:
-      reply.type = net::MsgType::kUpgradeReply;
+      reply->type = net::MsgType::kUpgradeReply;
       break;
     case net::MsgType::kCommitRequest:
-      reply.type = net::MsgType::kCommitReply;
+      reply->type = net::MsgType::kCommitReply;
       break;
     default:
       CCSIM_UNREACHABLE();
   }
-  reply.aborted = true;
-  co_await Reply(request, std::move(reply));
+  reply->aborted = true;
+  co_await Reply(*request, std::move(reply));
 }
 
 bool Server::FilterDelivery(const net::Message& msg) {
@@ -233,7 +234,7 @@ bool Server::FilterDelivery(const net::Message& msg) {
     for (const auto& [request_id, reply] : channel.replies) {
       if (request_id == msg.request_id) {
         metrics_->RecordDuplicateSuppressed();
-        simulator_->Spawn(ResendReply(reply));
+        simulator_->Spawn(ResendReply(net::CloneMessage(*reply)));
         return false;  // retransmit of an answered request: same reply
       }
     }
@@ -257,27 +258,27 @@ bool Server::FilterDelivery(const net::Message& msg) {
 
 sim::Process Server::Dispatch() {
   while (true) {
-    net::Message msg = co_await inbox_.Receive();
-    if (resilient_ && !FilterDelivery(msg)) {
+    net::MessagePtr msg = co_await inbox_.Receive();
+    if (resilient_ && !FilterDelivery(*msg)) {
       continue;
     }
-    if (IsStale(msg)) {
+    if (IsStale(*msg)) {
       // A request from an attempt the server already finished (e.g. the
       // client was aborted asynchronously while this was in flight).
-      if (IsSynchronous(msg.type)) {
+      if (IsSynchronous(msg->type)) {
         simulator_->Spawn(ReplyAbortedTo(std::move(msg)));
       }
       continue;
     }
-    if (resilient_ && msg.xact != 0 && msg.src != net::kServerNode) {
-      const std::uint64_t current = ActiveXactOfClient(msg.src);
-      if (current != 0 && current < msg.xact) {
+    if (resilient_ && msg->xact != 0 && msg->src != net::kServerNode) {
+      const std::uint64_t current = ActiveXactOfClient(msg->src);
+      if (current != 0 && current < msg->xact) {
         // The client moved on to a newer attempt (it gave up on an RPC);
         // whatever the old one holds must not linger.
         simulator_->Spawn(GcAbortXact(current));
       }
     }
-    if (IsTransactional(msg.type) && FindXact(msg.xact) == nullptr) {
+    if (IsTransactional(msg->type) && FindXact(msg->xact) == nullptr) {
       if (static_cast<int>(active_.size()) >= config_.system.mpl) {
         const int limit = config_.fault.server_queue_limit;
         if (limit > 0 && static_cast<int>(ready_.size()) >= limit) {
@@ -287,7 +288,7 @@ sim::Process Server::Dispatch() {
           // retries the spec); anything else is dropped and resolves
           // through the client's timeout path.
           metrics_->RecordShedRequest();
-          if (IsSynchronous(msg.type)) {
+          if (IsSynchronous(msg->type)) {
             simulator_->Spawn(ReplyAbortedTo(std::move(msg)));
           }
           continue;
@@ -299,10 +300,10 @@ sim::Process Server::Dispatch() {
         }
         continue;
       }
-      Admit(msg);
+      Admit(*msg);
     }
     if (resilient_) {
-      if (XactState* state = FindXact(msg.xact)) {
+      if (XactState* state = FindXact(msg->xact)) {
         state->last_activity = simulator_->Now();
       }
     }
@@ -311,22 +312,25 @@ sim::Process Server::Dispatch() {
 }
 
 void Server::PumpReady() {
-  std::deque<net::Message> keep;
+  if (ready_.empty()) {
+    return;
+  }
+  std::deque<net::MessagePtr> keep;
   while (!ready_.empty()) {
-    net::Message msg = std::move(ready_.front());
+    net::MessagePtr msg = std::move(ready_.front());
     ready_.pop_front();
-    if (IsStale(msg)) {
-      if (IsSynchronous(msg.type)) {
+    if (IsStale(*msg)) {
+      if (IsSynchronous(msg->type)) {
         simulator_->Spawn(ReplyAbortedTo(std::move(msg)));
       }
       continue;
     }
-    if (FindXact(msg.xact) != nullptr) {
+    if (FindXact(msg->xact) != nullptr) {
       simulator_->Spawn(protocol_->Handle(std::move(msg)));
       continue;
     }
     if (static_cast<int>(active_.size()) < config_.system.mpl) {
-      Admit(msg);
+      Admit(*msg);
       simulator_->Spawn(protocol_->Handle(std::move(msg)));
       continue;
     }
@@ -513,10 +517,10 @@ sim::Process Server::GcAbortXact(std::uint64_t uid) {
   metrics_->RecordGcXact();
   const int client = state->client;
   co_await AbortPipeline(*state);
-  net::Message notice;
-  notice.type = net::MsgType::kAbortNotice;
-  notice.dst = client;
-  notice.xact = uid;
+  net::MessagePtr notice = net::NewMessage();
+  notice->type = net::MsgType::kAbortNotice;
+  notice->dst = client;
+  notice->xact = uid;
   co_await Send(std::move(notice));
 }
 

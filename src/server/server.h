@@ -94,15 +94,16 @@ class Server {
   db::VersionTable& versions() { return versions_; }
   Directory& directory() { return directory_; }
   runner::Metrics& metrics() { return *metrics_; }
-  sim::Mailbox<net::Message>& inbox() { return inbox_; }
+  sim::Mailbox<net::MessagePtr>& inbox() { return inbox_; }
   std::vector<storage::Disk*> data_disks();
   std::vector<storage::Disk*> log_disks();
 
   /// Sends a message from the server (charges server CPU for the send).
-  sim::Task<void> Send(net::Message msg);
+  sim::Task<void> Send(net::MessagePtr msg);
 
-  /// Builds and sends the reply to a synchronous request.
-  sim::Task<void> Reply(const net::Message& request, net::Message reply);
+  /// Addresses `reply` to the synchronous `request` and sends it. In
+  /// recovery mode a copy stays in the reply cache for retransmits.
+  sim::Task<void> Reply(const net::Message& request, net::MessagePtr reply);
 
   /// Looks up a transaction's state (nullptr if unknown).
   XactState* FindXact(std::uint64_t uid);
@@ -216,14 +217,14 @@ class Server {
     /// Synchronous requests currently being handled (retransmits dropped).
     std::unordered_set<std::uint64_t> in_progress;
     /// Recent replies by request id, resent verbatim on a retransmit.
-    std::deque<std::pair<std::uint64_t, net::Message>> replies;
+    std::deque<std::pair<std::uint64_t, net::MessagePtr>> replies;
     /// Sliding window of asynchronous sequence numbers already accepted.
     std::unordered_set<std::uint64_t> seen_seq;
     std::deque<std::uint64_t> seen_order;
   };
 
   sim::Process Dispatch();
-  sim::Process ReplyAbortedTo(net::Message request);
+  sim::Process ReplyAbortedTo(net::MessagePtr request);
   void PumpReady();
   bool IsStale(const net::Message& msg) const;
   static bool IsSynchronous(net::MsgType type);
@@ -232,7 +233,7 @@ class Server {
   /// Recovery-mode admission filter: incarnation GC, request dedup/replay,
   /// async dedup. Returns false when the message must be dropped.
   bool FilterDelivery(const net::Message& msg);
-  sim::Process ResendReply(net::Message reply);
+  sim::Process ResendReply(net::MessagePtr reply);
   /// Aborts a live transaction the client has abandoned (newer attempt
   /// seen, idle timeout, or client crash) and notifies the client.
   sim::Process GcAbortXact(std::uint64_t uid);
@@ -256,7 +257,7 @@ class Server {
   lock::LockManager locks_;
   db::VersionTable versions_;
   Directory directory_;
-  sim::Mailbox<net::Message> inbox_;
+  sim::Mailbox<net::MessagePtr> inbox_;
   std::unique_ptr<proto::ServerProtocol> protocol_;
 
   sim::Ticks server_proc_page_ticks_ = 0;
@@ -265,7 +266,7 @@ class Server {
   std::unordered_set<std::uint64_t> active_;
   std::unordered_map<int, std::uint64_t> active_by_client_;
   std::unordered_map<int, std::uint64_t> last_finished_;
-  std::deque<net::Message> ready_;
+  std::deque<net::MessagePtr> ready_;
   std::size_t ready_high_water_ = 0;
 
   /// Reusable commit-point scratch for the checker / history feed (cleared

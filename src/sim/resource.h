@@ -3,13 +3,13 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "sim/time.h"
 #include "util/macros.h"
+#include "util/ring_deque.h"
 
 namespace ccsim::sim {
 
@@ -111,7 +111,9 @@ class Resource {
   std::string name_;
   int num_servers_;
   int busy_ = 0;
-  std::deque<Job> queue_;
+  /// FCFS wait queue; a ring, so a queue that keeps cycling allocates
+  /// nothing once it has reached its peak length.
+  util::RingDeque<Job> queue_;
   TimeWeighted busy_integral_;
   TimeWeighted queue_integral_;
   Tally wait_times_;

@@ -22,6 +22,15 @@ constexpr std::uint64_t kClientJitterStreamBase = 0x30000;
 /// deterministic independently of each other.
 constexpr std::uint64_t kStorageFaultStream = 0xFA18;
 
+/// Moves an inbound message (a drained ring slot) into the loop thread's
+/// message pool: one move, after which it travels as a handle like any
+/// message the model built itself.
+net::MessagePtr Pooled(net::Message&& msg) {
+  net::MessagePtr pooled = net::NewMessage();
+  *pooled = std::move(msg);
+  return pooled;
+}
+
 }  // namespace
 
 config::ExperimentConfig RawSpeedConfig(config::ExperimentConfig config) {
@@ -93,8 +102,8 @@ ServerNode::ServerNode(const config::ExperimentConfig& config,
     server_->log().set_fault_injector(storage_injector_.get());
   }
   server::Server* srv = server_.get();
-  substrate_.set_message_sink([srv](net::Message msg) {
-    srv->inbox().Push(std::move(msg));
+  substrate_.set_message_sink([srv](net::Message&& msg) {
+    srv->inbox().Push(Pooled(std::move(msg)));
   });
 }
 
@@ -114,11 +123,11 @@ void ServerNode::InstallInboundFilter(
     std::function<bool(const net::Message&)> filter) {
   server::Server* srv = server_.get();
   substrate_.set_message_sink(
-      [srv, filter = std::move(filter)](net::Message msg) {
+      [srv, filter = std::move(filter)](net::Message&& msg) {
         if (!filter(msg)) {
           return;
         }
-        srv->inbox().Push(std::move(msg));
+        srv->inbox().Push(Pooled(std::move(msg)));
       });
 }
 
@@ -159,12 +168,12 @@ ClientShard::ClientShard(const config::ExperimentConfig& config,
   auto* clients = &clients_;
   const int lo = client_lo;
   const int hi = client_hi;
-  substrate_.set_message_sink([clients, lo, hi](net::Message msg) {
+  substrate_.set_message_sink([clients, lo, hi](net::Message&& msg) {
     if (msg.dst < lo || msg.dst >= hi) {
       return;  // not ours (stray frame from a confused peer)
     }
     (*clients)[static_cast<std::size_t>(msg.dst - lo)]->inbox().Push(
-        std::move(msg));
+        Pooled(std::move(msg)));
   });
 }
 
@@ -182,12 +191,12 @@ void ClientShard::InstallInboundFilter(
   const int lo = client_lo_;
   const int hi = client_hi_;
   substrate_.set_message_sink(
-      [clients, lo, hi, filter = std::move(filter)](net::Message msg) {
+      [clients, lo, hi, filter = std::move(filter)](net::Message&& msg) {
         if (msg.dst < lo || msg.dst >= hi || !filter(msg)) {
           return;
         }
         (*clients)[static_cast<std::size_t>(msg.dst - lo)]->inbox().Push(
-            std::move(msg));
+            Pooled(std::move(msg)));
       });
 }
 

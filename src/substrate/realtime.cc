@@ -57,15 +57,6 @@ std::shared_ptr<InboundChannel> RealtimeSubstrate::OpenChannel(
   return ch;
 }
 
-void RealtimeSubstrate::PostMessage(net::Message msg) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    inject_.push_back(std::move(msg));
-    queued_.fetch_add(1, std::memory_order_release);
-  }
-  cv_.notify_one();
-}
-
 void RealtimeSubstrate::PostControl(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -137,18 +128,11 @@ bool RealtimeSubstrate::DrainChannels() {
 }
 
 void RealtimeSubstrate::DrainQueues() {
-  std::deque<net::Message> msgs;
   std::deque<std::function<void()>> thunks;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    msgs.swap(inject_);
     thunks.swap(control_);
-    queued_.fetch_sub(msgs.size() + thunks.size(),
-                      std::memory_order_release);
-  }
-  for (net::Message& msg : msgs) {
-    CCSIM_CHECK_MSG(sink_ != nullptr, "message injected with no sink");
-    sink_(std::move(msg));
+    queued_.fetch_sub(thunks.size(), std::memory_order_release);
   }
   for (std::function<void()>& fn : thunks) {
     fn();

@@ -65,9 +65,8 @@ class InboundChannel {
 /// Threading contract: the simulator and everything built on it (clients,
 /// server, protocol state) are touched ONLY by the thread inside Run().
 /// Other threads (socket readers, signal watchers) communicate exclusively
-/// through InboundChannels (the batched fast path) or
-/// PostMessage()/PostControl()/Stop(); all of it is drained on the loop
-/// thread between calendar steps.
+/// through InboundChannels (messages) or PostControl()/Stop(); all of it
+/// is drained on the loop thread between calendar steps.
 ///
 /// Pacing: the loop spins (yielding, so single-core hosts still make
 /// progress) when the next calendar event is within spin_threshold ticks,
@@ -85,8 +84,9 @@ class RealtimeSubstrate {
   RealtimeSubstrate& operator=(const RealtimeSubstrate&) = delete;
 
   /// Routes injected messages into the model (typically a Mailbox::Push on
-  /// the destination's inbox). Runs on the loop thread.
-  void set_message_sink(std::function<void(net::Message)> sink) {
+  /// the destination's inbox). Runs on the loop thread. The argument is the
+  /// drained ring slot: the sink moves what it keeps.
+  void set_message_sink(std::function<void(net::Message&&)> sink) {
     sink_ = std::move(sink);
   }
 
@@ -111,10 +111,6 @@ class RealtimeSubstrate {
                std::chrono::steady_clock::now() - epoch_)
         .count();
   }
-
-  /// Thread-safe: enqueues a message for delivery through the sink.
-  /// (Slow path — socket readers use InboundChannels instead.)
-  void PostMessage(net::Message msg);
 
   /// Thread-safe: enqueues an arbitrary thunk to run on the loop thread.
   void PostControl(std::function<void()> fn);
@@ -145,7 +141,7 @@ class RealtimeSubstrate {
   /// Drains every ready slot from every registered channel into the sink.
   /// Returns true if anything was delivered. Loop thread only.
   bool DrainChannels();
-  /// Drains the mutex-guarded PostMessage/PostControl queues.
+  /// Drains the mutex-guarded PostControl queue.
   void DrainQueues();
   /// Re-snapshots `active_` from `channels_` and drops closed+drained
   /// channels from the registry.
@@ -160,14 +156,13 @@ class RealtimeSubstrate {
   void Kick();
 
   sim::Simulator* sim_;
-  std::function<void(net::Message)> sink_;
+  std::function<void(net::Message&&)> sink_;
   std::function<bool()> flush_hook_;
   std::chrono::steady_clock::time_point epoch_{};
   sim::Ticks spin_threshold_ = kDefaultSpinThresholdTicks;
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<net::Message> inject_;
   std::deque<std::function<void()>> control_;
   std::vector<std::shared_ptr<InboundChannel>> channels_;
 
@@ -177,7 +172,7 @@ class RealtimeSubstrate {
   std::uint64_t seen_version_ = 0;
 
   std::atomic<std::uint64_t> channels_version_{0};
-  std::atomic<std::size_t> queued_{0};  // inject_ + control_ entries
+  std::atomic<std::size_t> queued_{0};  // control_ entries
   std::atomic<bool> loop_idle_{false};
   std::atomic<bool> stop_{false};
   std::atomic<bool> stop_seen_{false};

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -105,6 +107,94 @@ std::string Serialize(const runner::RunResult& r) {
   }
   Append(out, "stalled", static_cast<std::uint64_t>(r.stalled ? 1 : 0));
   return out;
+}
+
+// Fault and recovery counters, appended for the lossy-network config so a
+// change in retransmission, duplicate suppression or reply-cache replay
+// shows up in its digest.
+std::string SerializeWithFaults(const runner::RunResult& r) {
+  std::string out = Serialize(r);
+  Append(out, "messages_dropped", r.messages_dropped);
+  Append(out, "messages_duplicated", r.messages_duplicated);
+  Append(out, "delay_spikes", r.delay_spikes);
+  Append(out, "rpc_retries", r.rpc_retries);
+  Append(out, "rpc_timeouts", r.rpc_timeouts);
+  Append(out, "timeout_aborts", r.timeout_aborts);
+  Append(out, "lease_expirations", r.lease_expirations);
+  Append(out, "duplicates_suppressed", r.duplicates_suppressed);
+  Append(out, "gc_xacts", r.gc_xacts);
+  Append(out, "unknown_outcomes", r.unknown_outcomes);
+  return out;
+}
+
+/// 64-bit FNV-1a of a serialization, as 16 hex digits.
+std::string Digest(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, hash);
+  return buf;
+}
+
+// Pinned model digests. The tests above compare a run only with itself;
+// these compare it with the model as recorded, so a change that was meant
+// to leave behaviour alone (a refactor, a perf change) fails here if it
+// moved a single event.
+//
+// When a change alters the model on purpose, re-record: run
+//   ctest --test-dir build -R 'DeterminismTest.PinnedModelDigests'
+// --output-on-failure, check that the change explains every moved digest
+// (and nothing else moved), copy the digests printed as "Which is" into the
+// tables below, and say in the change description which ones moved and why.
+struct PinnedDigest {
+  const char* label;
+  const char* digest;
+};
+
+const PinnedDigest kFaultFreeDigests[] = {
+    {"2PL", "11d66714334fae85"},
+    {"certification", "382ace059fe23a4b"},
+    {"callback", "0b614e06d8068fb0"},
+    {"no-wait", "8e4a9f772c5405b0"},
+    {"no-wait+notify", "b711aa193620ba34"},
+};
+
+/// Recovery mode under message loss and duplication: exercises the
+/// retransmit copies, the server's reply cache and the injector's
+/// duplicate deliveries.
+config::ExperimentConfig LossyRecoveryConfig() {
+  config::ExperimentConfig cfg =
+      SmallConfig(config::Algorithm::kCallbackLocking, 10);
+  cfg.fault.drop_probability = 0.05;
+  cfg.fault.duplicate_probability = 0.02;
+  cfg.fault.recovery_enabled = true;
+  return cfg;
+}
+
+constexpr const char* kLossyRecoveryDigest = "74bf26b69d5ab6e3";
+
+TEST(DeterminismTest, PinnedModelDigests) {
+  for (std::size_t i = 0; i < std::size(kAllAlgorithms); ++i) {
+    const NamedAlgorithm& alg = kAllAlgorithms[i];
+    auto result = runner::RunExperiment(SmallConfig(alg.algorithm, 10));
+    ASSERT_TRUE(result.ok()) << alg.label;
+    ASSERT_STREQ(kFaultFreeDigests[i].label, alg.label);
+    EXPECT_EQ(Digest(Serialize(result.ValueOrDie())),
+              kFaultFreeDigests[i].digest)
+        << alg.label << " fault-free model moved";
+  }
+  auto lossy = runner::RunExperiment(LossyRecoveryConfig());
+  ASSERT_TRUE(lossy.ok());
+  const runner::RunResult& r = lossy.ValueOrDie();
+  EXPECT_FALSE(r.stalled);
+  EXPECT_GT(r.messages_dropped, 0u);
+  EXPECT_GT(r.messages_duplicated, 0u);
+  EXPECT_GT(r.duplicates_suppressed, 0u);
+  EXPECT_EQ(Digest(SerializeWithFaults(r)), kLossyRecoveryDigest)
+      << "recovery-mode model moved";
 }
 
 TEST(DeterminismTest, SameSeedTwiceIsByteIdentical) {

@@ -35,8 +35,8 @@ class NetworkTest : public ::testing::Test {
   Network net_;
   sim::Resource client_cpu_;
   sim::Resource server_cpu_;
-  sim::Mailbox<Message> client_inbox_;
-  sim::Mailbox<Message> server_inbox_;
+  sim::Mailbox<MessagePtr> client_inbox_;
+  sim::Mailbox<MessagePtr> server_inbox_;
 };
 
 TEST_F(NetworkTest, ControlMessageIsOnePacket) {
@@ -53,28 +53,28 @@ TEST_F(NetworkTest, DataPagesCostOnePacketEach) {
   EXPECT_EQ(PacketsFor(msg), 3);
 }
 
-sim::Process SendOne(sim::Simulator& sim, Network& net, Message msg,
+sim::Process SendOne(sim::Simulator& sim, Network& net, MessagePtr msg,
                      sim::Ticks& sent_at) {
   (void)sim;
   co_await net.Send(std::move(msg));
   sent_at = sim.Now();
 }
 
-sim::Process ReceiveOne(sim::Simulator& sim, sim::Mailbox<Message>& inbox,
+sim::Process ReceiveOne(sim::Simulator& sim, sim::Mailbox<MessagePtr>& inbox,
                         std::vector<std::pair<std::uint64_t, sim::Ticks>>&
                             arrivals, int count) {
   (void)sim;
   for (int i = 0; i < count; ++i) {
-    Message msg = co_await inbox.Receive();
-    arrivals.push_back({msg.xact, sim.Now()});
+    MessagePtr msg = co_await inbox.Receive();
+    arrivals.push_back({msg->xact, sim.Now()});
   }
 }
 
 TEST_F(NetworkTest, SenderPaysCpuBeforeReturning) {
-  Message msg;
-  msg.type = MsgType::kReadRequest;
-  msg.src = 0;
-  msg.dst = kServerNode;
+  MessagePtr msg = NewMessage();
+  msg->type = MsgType::kReadRequest;
+  msg->src = 0;
+  msg->dst = kServerNode;
   sim::Ticks sent_at = 0;
   sim_.Spawn(SendOne(sim_, net_, std::move(msg), sent_at));
   sim_.Run(sim::SecondsToTicks(1));
@@ -82,11 +82,11 @@ TEST_F(NetworkTest, SenderPaysCpuBeforeReturning) {
 }
 
 TEST_F(NetworkTest, DeliveryChargesReceiverCpuAndMedium) {
-  Message msg;
-  msg.type = MsgType::kReadRequest;
-  msg.src = 0;
-  msg.dst = kServerNode;
-  msg.xact = 42;
+  MessagePtr msg = NewMessage();
+  msg->type = MsgType::kReadRequest;
+  msg->src = 0;
+  msg->dst = kServerNode;
+  msg->xact = 42;
   std::vector<std::pair<std::uint64_t, sim::Ticks>> arrivals;
   sim_.Spawn(ReceiveOne(sim_, server_inbox_, arrivals, 1));
   sim::Ticks sent_at = 0;
@@ -105,11 +105,11 @@ TEST_F(NetworkTest, PerPairFifoOrdering) {
   sim_.Spawn(ReceiveOne(sim_, server_inbox_, arrivals, 5));
   std::vector<sim::Ticks> sent_at(5, 0);  // outlives the spawned senders
   for (std::uint64_t i = 1; i <= 5; ++i) {
-    Message msg;
-    msg.type = MsgType::kNoWaitLock;
-    msg.src = 0;
-    msg.dst = kServerNode;
-    msg.xact = i;
+    MessagePtr msg = NewMessage();
+    msg->type = MsgType::kNoWaitLock;
+    msg->src = 0;
+    msg->dst = kServerNode;
+    msg->xact = i;
     sim_.Spawn(SendOne(sim_, net_, std::move(msg), sent_at[i - 1]));
   }
   sim_.Run(sim::SecondsToTicks(1));
@@ -120,11 +120,11 @@ TEST_F(NetworkTest, PerPairFifoOrdering) {
 }
 
 TEST_F(NetworkTest, MultiPacketMessageOccupiesMediumPerPacket) {
-  Message msg;
-  msg.type = MsgType::kCommitRequest;
-  msg.src = 0;
-  msg.dst = kServerNode;
-  msg.data_pages = {1, 2, 3, 4};
+  MessagePtr msg = NewMessage();
+  msg->type = MsgType::kCommitRequest;
+  msg->src = 0;
+  msg->dst = kServerNode;
+  msg->data_pages = {1, 2, 3, 4};
   std::vector<std::pair<std::uint64_t, sim::Ticks>> arrivals;
   sim_.Spawn(ReceiveOne(sim_, server_inbox_, arrivals, 1));
   sim::Ticks sent_at = 0;
@@ -142,14 +142,14 @@ TEST_F(NetworkTest, ZeroDelayNetworkSkipsMedium) {
   Network net(&sim, /*mean_packet_delay=*/0, sim::Pcg32(1, 1));
   sim::Resource cpu_a(&sim, "a", 1);
   sim::Resource cpu_b(&sim, "b", 1);
-  sim::Mailbox<Message> inbox_a(&sim);
-  sim::Mailbox<Message> inbox_b(&sim);
+  sim::Mailbox<MessagePtr> inbox_a(&sim);
+  sim::Mailbox<MessagePtr> inbox_b(&sim);
   net.RegisterEndpoint(0, Network::Endpoint{&inbox_a, &cpu_a, 0});
   net.RegisterEndpoint(kServerNode, Network::Endpoint{&inbox_b, &cpu_b, 0});
-  Message msg;
-  msg.type = MsgType::kReadRequest;
-  msg.src = 0;
-  msg.dst = kServerNode;
+  MessagePtr msg = NewMessage();
+  msg->type = MsgType::kReadRequest;
+  msg->src = 0;
+  msg->dst = kServerNode;
   std::vector<std::pair<std::uint64_t, sim::Ticks>> arrivals;
   sim.Spawn(ReceiveOne(sim, inbox_b, arrivals, 1));
   sim::Ticks sent_at = 0;
@@ -162,12 +162,12 @@ TEST_F(NetworkTest, ZeroDelayNetworkSkipsMedium) {
 
 // --- Fault-injection hook -------------------------------------------------
 
-Message ClientToServer(std::uint64_t xact) {
-  Message msg;
-  msg.type = MsgType::kReadRequest;
-  msg.src = 0;
-  msg.dst = kServerNode;
-  msg.xact = xact;
+MessagePtr ClientToServer(std::uint64_t xact) {
+  MessagePtr msg = NewMessage();
+  msg->type = MsgType::kReadRequest;
+  msg->src = 0;
+  msg->dst = kServerNode;
+  msg->xact = xact;
   return msg;
 }
 
@@ -195,8 +195,8 @@ TEST_F(NetworkTest, ZeroPlanInjectorIsInert) {
   Network net2(&sim2, sim::MillisToTicks(2), sim::Pcg32(1, 1));
   sim::Resource cpu_a(&sim2, "client.cpu", 1);
   sim::Resource cpu_b(&sim2, "server.cpu", 1);
-  sim::Mailbox<Message> inbox_a(&sim2);
-  sim::Mailbox<Message> inbox_b(&sim2);
+  sim::Mailbox<MessagePtr> inbox_a(&sim2);
+  sim::Mailbox<MessagePtr> inbox_b(&sim2);
   net2.RegisterEndpoint(0, Network::Endpoint{&inbox_a, &cpu_a, 5000});
   net2.RegisterEndpoint(kServerNode,
                         Network::Endpoint{&inbox_b, &cpu_b, 2500});
@@ -278,11 +278,11 @@ TEST_F(NetworkTest, PartitionCutsOnlyTheSeveredDirection) {
   sim_.Spawn(ReceiveOne(sim_, client_inbox_, to_client, 1));
   sim::Ticks sent_at = 0;
   sim_.Spawn(SendOne(sim_, net_, ClientToServer(1), sent_at));
-  Message reply;
-  reply.type = MsgType::kReadReply;
-  reply.src = kServerNode;
-  reply.dst = 0;
-  reply.xact = 2;
+  MessagePtr reply = NewMessage();
+  reply->type = MsgType::kReadReply;
+  reply->src = kServerNode;
+  reply->dst = 0;
+  reply->xact = 2;
   sim_.Spawn(SendOne(sim_, net_, std::move(reply), sent_at));
   sim_.Run(sim::SecondsToTicks(1));
   EXPECT_TRUE(to_server.empty());
@@ -310,11 +310,11 @@ TEST_F(NetworkTest, SymmetricPartitionCutsBothDirections) {
   sim_.Spawn(ReceiveOne(sim_, client_inbox_, to_client, 1));
   sim::Ticks sent_at = 0;
   sim_.Spawn(SendOne(sim_, net_, ClientToServer(1), sent_at));
-  Message reply;
-  reply.type = MsgType::kReadReply;
-  reply.src = kServerNode;
-  reply.dst = 0;
-  reply.xact = 2;
+  MessagePtr reply = NewMessage();
+  reply->type = MsgType::kReadReply;
+  reply->src = kServerNode;
+  reply->dst = 0;
+  reply->xact = 2;
   sim_.Spawn(SendOne(sim_, net_, std::move(reply), sent_at));
   sim_.Run(sim::SecondsToTicks(1));
   EXPECT_TRUE(to_server.empty());
@@ -341,7 +341,7 @@ TEST(NetworkDeathTest, DoubleEndpointRegistrationAsserts) {
   sim::Simulator sim;
   Network net(&sim, sim::MillisToTicks(2), sim::Pcg32(1, 1));
   sim::Resource cpu(&sim, "cpu", 1);
-  sim::Mailbox<Message> inbox(&sim);
+  sim::Mailbox<MessagePtr> inbox(&sim);
   net.RegisterEndpoint(0, Network::Endpoint{&inbox, &cpu, 0});
   EXPECT_DEATH(net.RegisterEndpoint(0, Network::Endpoint{&inbox, &cpu, 0}),
                "registered twice");

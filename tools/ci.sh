@@ -23,6 +23,12 @@
 #      steady-state contracts — the event kernel's Delay/broadcast paths
 #      AND the real-substrate wire path (encode/flush/split/decode) — are
 #      asserted exactly via a counting operator new,
+#   8b. the same perf-smoke suite in an unsanitized Release build (a
+#      sibling tree, <build-dir>-release): the frame and message pools are
+#      bypassed under ASan and the paper-scale allocation ceiling skips
+#      there, so only this leg enforces the recycling contracts and the
+#      per-commit ceiling (skipped when the main build is already
+#      unsanitized, which runs them in step 8),
 #   9. a real-substrate throughput floor: the loopback probe (same config
 #      bench_baseline.sh records) must not fall more than
 #      CCSIM_CI_TPUT_TOLERANCE percent below the tracked
@@ -132,6 +138,17 @@ done
 
 step "perf-smoke gate (allocation-free steady states, ctest -L perf-smoke)"
 ctest -L perf-smoke --output-on-failure -j"$jobs"
+
+step "allocation ceilings (unsanitized Release build, ctest -L perf-smoke)"
+if [[ "$sanitize" == "OFF" ]]; then
+  echo "skipped: the main build is unsanitized; step 8 enforced them"
+else
+  release_dir="${build_dir}-release"
+  cmake -B "$release_dir" -S "$repo_root" -DCCSIM_SANITIZE=OFF \
+      -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$release_dir" -j"$jobs" --target perf_smoke_test
+  (cd "$release_dir" && ctest -L perf-smoke --output-on-failure -j"$jobs")
+fi
 
 step "real-substrate throughput floor (within ${tput_tolerance}% of baseline)"
 build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$build_dir/CMakeCache.txt")"

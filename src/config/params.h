@@ -36,6 +36,8 @@ struct DatabaseParams {
     }
     return total;
   }
+
+  bool operator==(const DatabaseParams&) const = default;
 };
 
 /// Parameters for one transaction type (paper Table 2).
@@ -58,6 +60,8 @@ struct TransactionParams {
   int inter_xact_set_size = 20;
   /// InterXactLoc: probability that a read comes from the InterXactSet.
   double inter_xact_loc = 0.25;
+
+  bool operator==(const TransactionParams&) const = default;
 };
 
 /// System parameters (paper Table 3).
@@ -96,6 +100,8 @@ struct SystemParams {
   double client_proc_page_instr = 20000;
   /// MPL: maximum number of transactions active at the server.
   int mpl = 50;
+
+  bool operator==(const SystemParams&) const = default;
 };
 
 /// The five cache consistency algorithms of the paper (§2).
@@ -148,6 +154,8 @@ struct AlgorithmParams {
   /// to prove the consistency oracle catches a protocol that commits
   /// non-serializable histories; never set outside tests.
   bool test_skip_validation = false;
+
+  bool operator==(const AlgorithmParams&) const = default;
 };
 
 /// Run-time-optional consistency checking (src/check): the serializability
@@ -168,6 +176,8 @@ struct CheckerParams {
   /// Bounded verification queue capacity in records (pipelined mode). The
   /// commit path stalls — never drops — when the verifier falls behind.
   std::size_t queue_capacity = 4096;
+
+  bool operator==(const CheckerParams&) const = default;
 };
 
 /// Simulation run control (not a paper table; measurement methodology).
@@ -182,6 +192,8 @@ struct ControlParams {
   double max_measure_seconds = 600.0;
   /// Record per-commit history for the serializability validator (tests).
   bool record_history = false;
+
+  bool operator==(const ControlParams&) const = default;
 };
 
 /// Fault injection and failure recovery (robustness extension; not a paper
@@ -205,6 +217,8 @@ struct FaultParams {
     int node = 0;
     double at_s = 0.0;
     double downtime_s = 1.0;
+
+    bool operator==(const CrashEvent&) const = default;
   };
   std::vector<CrashEvent> crashes;
   /// Scheduled partitions: the link between client `node` and the server is
@@ -223,6 +237,8 @@ struct FaultParams {
     /// exercising frame resync and the reconnect path. The DES substrate
     /// has no connections, so there a hard window behaves like a soft one.
     bool hard = false;
+
+    bool operator==(const PartitionEvent&) const = default;
   };
   std::vector<PartitionEvent> partitions;
   /// Storage faults, drawn per commit log force: probability that the force
@@ -274,12 +290,16 @@ struct FaultParams {
            !partitions.empty() || torn_write_probability > 0.0 ||
            bit_flip_probability > 0.0;
   }
+
+  bool operator==(const FaultParams&) const = default;
 };
 
 /// One transaction type in a mixed workload, with its selection weight.
 struct MixEntry {
   TransactionParams params;
   double weight = 1.0;
+
+  bool operator==(const MixEntry&) const = default;
 };
 
 /// A complete experiment configuration.
@@ -309,6 +329,8 @@ struct ExperimentConfig {
 
   /// Sanity-checks parameter ranges and cross-field constraints.
   Status Validate() const;
+
+  bool operator==(const ExperimentConfig&) const = default;
 };
 
 /// Preset matching paper Table 5 (the base setting for §4 experiment 2 and

@@ -7,13 +7,8 @@ namespace ccsim::fault {
 FaultInjector::FaultInjector(FaultPlan plan, sim::Pcg32 rng)
     : plan_(std::move(plan)), rng_(rng) {}
 
-const LinkFaults& FaultInjector::LinkFor(int src, int dst) const {
-  auto it = plan_.per_link.find({src, dst});
-  return it == plan_.per_link.end() ? plan_.link : it->second;
-}
-
-FaultInjector::SendOutcome FaultInjector::DrawSendOutcome(int src, int dst) {
-  const LinkFaults& faults = LinkFor(src, dst);
+FaultInjector::SendOutcome FaultInjector::DrawSendOutcome() {
+  const LinkFaults& faults = plan_.link;
   if (faults.drop > 0.0 && rng_.Bernoulli(faults.drop)) {
     ++messages_dropped_;
     return SendOutcome::kDrop;
@@ -25,8 +20,8 @@ FaultInjector::SendOutcome FaultInjector::DrawSendOutcome(int src, int dst) {
   return SendOutcome::kDeliver;
 }
 
-sim::Ticks FaultInjector::DrawExtraDelay(int src, int dst) {
-  const LinkFaults& faults = LinkFor(src, dst);
+sim::Ticks FaultInjector::DrawExtraDelay() {
+  const LinkFaults& faults = plan_.link;
   if (faults.delay_spike <= 0.0 || faults.spike_delay <= 0) {
     return 0;
   }

@@ -30,12 +30,12 @@ class FaultInjector {
 
   const FaultPlan& plan() const { return plan_; }
 
-  /// Fault draw for one message on src -> dst. Counts drops/duplicates.
-  SendOutcome DrawSendOutcome(int src, int dst);
+  /// Fault draw for one message. Counts drops/duplicates.
+  SendOutcome DrawSendOutcome();
 
   /// Extra in-transit delay for one message (0 = none). Consumes a variate
-  /// only when the link has a non-zero spike probability.
-  sim::Ticks DrawExtraDelay(int src, int dst);
+  /// only when the plan has a non-zero spike probability.
+  sim::Ticks DrawExtraDelay();
 
   /// Crash-window bookkeeping. A down node sends and receives nothing.
   void SetDown(int node, bool down);
@@ -82,8 +82,6 @@ class FaultInjector {
   }
 
  private:
-  const LinkFaults& LinkFor(int src, int dst) const;
-
   FaultPlan plan_;
   sim::Pcg32 rng_;
   std::set<int> down_;

@@ -1,8 +1,6 @@
 #ifndef CCSIM_FAULT_FAULT_PLAN_H_
 #define CCSIM_FAULT_FAULT_PLAN_H_
 
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "sim/time.h"
@@ -77,25 +75,15 @@ struct StorageFaults {
 /// fault is off: an injector built from `FaultPlan{}` never perturbs the
 /// simulation (asserted by regression tests).
 struct FaultPlan {
-  /// Fault rates applied to every link without a per-link override.
+  /// Fault rates applied to every link.
   LinkFaults link;
-  /// Per-link overrides keyed by (src, dst) node ids.
-  std::map<std::pair<int, int>, LinkFaults> per_link;
   std::vector<CrashWindow> crashes;
   std::vector<PartitionWindow> partitions;
   StorageFaults storage;
 
   bool Any() const {
-    if (link.Any() || !crashes.empty() || !partitions.empty() ||
-        storage.Any()) {
-      return true;
-    }
-    for (const auto& [key, faults] : per_link) {
-      if (faults.Any()) {
-        return true;
-      }
-    }
-    return false;
+    return link.Any() || !crashes.empty() || !partitions.empty() ||
+           storage.Any();
   }
 };
 

@@ -33,7 +33,7 @@ sim::Task<void> Network::Send(MessagePtr msg) {
     co_return;
   }
   if (injector_ != nullptr) {
-    switch (injector_->DrawSendOutcome(msg->src, msg->dst)) {
+    switch (injector_->DrawSendOutcome()) {
       case fault::FaultInjector::SendOutcome::kDrop:
         co_return;
       case fault::FaultInjector::SendOutcome::kDuplicate:
@@ -53,7 +53,7 @@ sim::Process Network::TransferAndDeliver(MessagePtr msg, int packets) {
     }
   }
   if (injector_ != nullptr) {
-    const sim::Ticks spike = injector_->DrawExtraDelay(msg->src, msg->dst);
+    const sim::Ticks spike = injector_->DrawExtraDelay();
     if (spike > 0) {
       co_await simulator_->Delay(spike);
     }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include <cstdlib>
-
 #include "check/checker.h"
 #include "util/macros.h"
 
@@ -264,9 +262,6 @@ sim::Task<void> CallbackClient::HandleAsync(net::Message& msg) {
     if (in_use) {
       // Used by the current transaction: release at transaction end
       // (paper §2.3).
-      if (std::getenv("CCSIM_TRACE")) {
-        std::fprintf(stderr, "[cb] DEFER page=%d client=%d\n", page, c_.id());
-      }
       deferred_callbacks_.insert(page);
       continue;
     }
@@ -323,15 +318,7 @@ sim::Process CallbackServer::RequestCallbacks(int requester_client,
       continue;  // own retained lock is absorbed, not called back
     }
     if (!outstanding_callbacks_.insert({page, client}).second) {
-      if (std::getenv("CCSIM_TRACE")) {
-        std::fprintf(stderr, "[cb] SKIP dup callback page=%d client=%d\n",
-                     page, client);
-      }
       continue;  // already asked
-    }
-    if (std::getenv("CCSIM_TRACE")) {
-      std::fprintf(stderr, "[cb] SEND callback page=%d client=%d\n", page,
-                   client);
     }
     net::MessagePtr callback = net::NewMessage();
     callback->type = net::MsgType::kCallbackRequest;
@@ -362,9 +349,6 @@ sim::Process CallbackServer::RequestCallbacks(int requester_client,
 void CallbackServer::HandleRetainedRelease(
     int client, std::span<const db::PageId> pages, bool drop_directory) {
   for (db::PageId page : pages) {
-    if (std::getenv("CCSIM_TRACE")) {
-      std::fprintf(stderr, "[cb] RELEASE page=%d client=%d\n", page, client);
-    }
     s_.locks().Release(lock::RetainedOwner(client), page);
     outstanding_callbacks_.erase({page, client});
     if (drop_directory) {

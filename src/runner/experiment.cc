@@ -145,58 +145,28 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
     injector = std::make_unique<fault::FaultInjector>(
         fault::MakePlan(config.fault), sim::Pcg32(seed, kFaultStream));
     network.set_fault_injector(injector.get());
-    for (const config::FaultParams::CrashEvent& crash :
-         config.fault.crashes) {
-      const sim::Ticks at = sim::SecondsToTicks(crash.at_s);
-      const sim::Ticks up_at = at + sim::SecondsToTicks(crash.downtime_s);
+    fault::FaultInjector* inj = injector.get();
+    for (const fault::CrashWindow& crash : inj->plan().crashes) {
       if (crash.node == net::kServerNode) {
-        server::Server* srv = &server;
-        fault::FaultInjector* inj = injector.get();
-        sim::Simulator* simp = &sim;
-        sim.ScheduleAt(at, [srv, inj] {
-          inj->SetDown(net::kServerNode, true);
-          srv->Crash();
-        });
-        sim.ScheduleAt(up_at, [srv, inj, simp] {
-          simp->Spawn(RecoverServer(srv, inj));
-        });
-      } else {
-        CCSIM_CHECK(crash.node >= 0 &&
-                    crash.node < config.system.num_clients);
-        client::Client* victim = clients[static_cast<std::size_t>(
-            crash.node)].get();
-        fault::FaultInjector* inj = injector.get();
-        const int node = crash.node;
-        sim.ScheduleAt(at, [victim, inj, node] {
-          inj->SetDown(node, true);
-          victim->Crash();
-        });
-        sim.ScheduleAt(up_at, [victim, inj, node] {
-          inj->SetDown(node, false);
-          victim->Recover();
-        });
+        ScheduleServerCrash(sim, inj, &server, crash);
+        continue;
       }
+      CCSIM_CHECK(crash.node >= 0 && crash.node < config.system.num_clients);
+      client::Client* victim =
+          clients[static_cast<std::size_t>(crash.node)].get();
+      const int node = crash.node;
+      sim.ScheduleAt(crash.at, [victim, inj, node] {
+        inj->SetDown(node, true);
+        victim->Crash();
+      });
+      sim.ScheduleAt(crash.at + crash.downtime, [victim, inj, node] {
+        inj->SetDown(node, false);
+        victim->Recover();
+      });
     }
-    for (const config::FaultParams::PartitionEvent& part :
-         config.fault.partitions) {
+    for (const fault::PartitionWindow& part : inj->plan().partitions) {
       CCSIM_CHECK(part.node >= 0 && part.node < config.system.num_clients);
-      fault::FaultInjector* inj = injector.get();
-      const int node = part.node;
-      fault::PartitionWindow::Direction dir =
-          fault::PartitionWindow::Direction::kBoth;
-      if (part.direction == 1) {
-        dir = fault::PartitionWindow::Direction::kToServer;
-      } else if (part.direction == 2) {
-        dir = fault::PartitionWindow::Direction::kFromServer;
-      }
-      const sim::Ticks at = sim::SecondsToTicks(part.at_s);
-      const sim::Ticks heal_at = at + sim::SecondsToTicks(part.duration_s);
-      sim.ScheduleAt(at, [inj, node, dir] {
-        inj->SetPartitioned(node, dir, true);
-      });
-      sim.ScheduleAt(heal_at, [inj, node, dir] {
-        inj->SetPartitioned(node, dir, false);
-      });
+      SchedulePartition(sim, inj, part);
     }
     server.log().set_fault_injector(injector.get());
   }
@@ -247,18 +217,11 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
       wall_seconds > 0
           ? static_cast<double>(sim.events_processed()) / wall_seconds
           : 0.0;
-  result.commits = metrics.commits();
-  result.aborts = metrics.aborts();
-  result.deadlock_aborts = metrics.deadlock_aborts();
-  result.stale_aborts = metrics.stale_aborts();
-  result.cert_aborts = metrics.cert_aborts();
-  result.deadlocks_detected = server.locks().deadlocks_detected();
+  AddMetricCounters(metrics, &result);
+  HarvestServer(server, &result);
   result.mean_response_s = metrics.response_s().mean();
   result.response_ci_s = metrics.response_batches().HalfWidth90();
-  result.response_p50_s = metrics.response_histogram().Quantile(0.50);
-  result.response_p90_s = metrics.response_histogram().Quantile(0.90);
-  result.response_p99_s = metrics.response_histogram().Quantile(0.99);
-  result.attempts_started = metrics.attempts_started();
+  SetPercentiles(metrics.response_histogram(), &result);
   result.throughput_tps =
       result.measured_seconds > 0
           ? static_cast<double>(result.commits) / result.measured_seconds
@@ -278,51 +241,19 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   result.network_util = network.medium().Utilization(now);
   result.data_disk_util = MeanUtilization(server.data_disks(), now);
   result.log_disk_util = MeanUtilization(server.log_disks(), now);
-  result.messages = network.messages_sent();
-  result.packets = network.packets_sent();
+  AddNetworkCounters(network, &result);
   result.client_hit_ratio =
       (cache_hits + cache_misses) == 0
           ? 0.0
           : static_cast<double>(cache_hits) /
                 static_cast<double>(cache_hits + cache_misses);
-  result.server_buffer_hit_ratio = server.pool().HitRatio();
-  result.buffer_writebacks = server.pool().writebacks();
-  result.log_forced_commits = server.log().commits_logged();
-  result.undo_page_ios = server.log().undo_page_ios();
   for (const sim::Tally& tally : metrics.per_type_response_s()) {
     result.per_type_response.emplace_back(tally.mean(), tally.count());
   }
   result.history = metrics.history();
   if (injector != nullptr) {
-    result.messages_dropped = injector->messages_dropped();
-    result.messages_duplicated = injector->messages_duplicated();
-    result.delay_spikes = injector->delay_spikes();
-    result.down_drops = injector->down_drops();
-    result.partition_drops = injector->partition_drops();
+    AddInjectorCounters(*injector, &result);
   }
-  result.shed_requests = metrics.shed_requests();
-  result.retry_budget_exhaustions = metrics.retry_budget_exhaustions();
-  result.ready_queue_high_water = server.ready_queue_high_water();
-  result.log_torn_writes = server.log().torn_writes_detected();
-  result.log_bit_flips = server.log().bit_flips_detected();
-  result.log_rewrites = server.log().log_rewrites();
-  result.log_records_truncated = server.log().records_truncated();
-  result.rpc_retries = metrics.rpc_retries();
-  result.rpc_timeouts = metrics.rpc_timeouts();
-  result.timeout_aborts = metrics.timeout_aborts();
-  result.crash_aborts = metrics.crash_aborts();
-  result.lease_expirations = metrics.lease_expirations();
-  result.duplicates_suppressed = metrics.duplicates_suppressed();
-  result.gc_xacts = metrics.gc_xacts();
-  result.client_crashes = metrics.client_crashes();
-  result.server_crashes = metrics.server_crashes();
-  result.recovery_seconds = sim::TicksToSeconds(metrics.recovery_ticks());
-  result.transactions_lost = metrics.transactions_lost();
-  result.unknown_outcomes = metrics.unknown_outcomes();
-  result.final_lock_waiters = server.locks().waiter_count();
-  result.final_locks_held = server.locks().held_count();
-  result.final_active_xacts = server.active_transactions();
-  result.final_ready_queue = server.ready_queue_length();
   if (config.fault.recovery_enabled) {
     // Liveness watchdog: under recovery mode every RPC wait is bounded by
     // the retransmission schedule (timeouts double to the cap; exhaustion
@@ -346,23 +277,123 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
     // read, which is what makes the pipelined counters byte-identical to
     // the synchronous mode's.
     checker->Finish();
-    check::Oracle& oracle = checker->oracle();
-    oracle.Finalize(metrics.unknown_outcomes());
-    result.oracle_enabled = true;
-    result.oracle_commits = oracle.commits_observed();
-    result.oracle_edges = oracle.edges();
-    result.oracle_scc_checks = oracle.scc_checks();
-    result.oracle_max_frontier = oracle.max_frontier();
-    result.oracle_audits = checker->audits();
-    result.oracle_client_audits = checker->client_audits();
-    result.oracle_trusted_reads = oracle.trusted_reads();
-    result.oracle_stale_commit_reads = oracle.stale_commit_reads();
-    result.oracle_unknown_committed = oracle.unknown_resolved_committed();
-    result.oracle_unknown_aborted = oracle.unknown_resolved_aborted();
+    checker->oracle().Finalize(metrics.unknown_outcomes());
+    HarvestOracle(*checker, &result);
   }
 
   sim.Shutdown();
   return result;
+}
+
+void ScheduleServerCrash(sim::Simulator& calendar,
+                         fault::FaultInjector* injector,
+                         server::Server* server,
+                         const fault::CrashWindow& window,
+                         std::function<void()> on_crash) {
+  calendar.ScheduleAt(window.at, [injector, server, on_crash] {
+    injector->SetDown(net::kServerNode, true);
+    if (on_crash) {
+      on_crash();
+    }
+    server->Crash();
+  });
+  calendar.ScheduleAt(window.at + window.downtime,
+                      [&calendar, server, injector] {
+                        calendar.Spawn(RecoverServer(server, injector));
+                      });
+}
+
+void SchedulePartition(sim::Simulator& calendar,
+                       fault::FaultInjector* injector,
+                       const fault::PartitionWindow& window,
+                       std::function<void()> sever) {
+  const int node = window.node;
+  const fault::PartitionWindow::Direction dir = window.direction;
+  const bool hard = window.hard && sever != nullptr;
+  calendar.ScheduleAt(window.at, [injector, node, dir, hard, sever] {
+    injector->SetPartitioned(node, dir, true);
+    if (hard) {
+      sever();
+    }
+  });
+  calendar.ScheduleAt(window.at + window.duration, [injector, node, dir] {
+    injector->SetPartitioned(node, dir, false);
+  });
+}
+
+void AddMetricCounters(const Metrics& metrics, RunResult* result) {
+  result->commits += metrics.commits();
+  result->aborts += metrics.aborts();
+  result->deadlock_aborts += metrics.deadlock_aborts();
+  result->stale_aborts += metrics.stale_aborts();
+  result->cert_aborts += metrics.cert_aborts();
+  result->attempts_started += metrics.attempts_started();
+  result->rpc_retries += metrics.rpc_retries();
+  result->rpc_timeouts += metrics.rpc_timeouts();
+  result->timeout_aborts += metrics.timeout_aborts();
+  result->crash_aborts += metrics.crash_aborts();
+  result->lease_expirations += metrics.lease_expirations();
+  result->duplicates_suppressed += metrics.duplicates_suppressed();
+  result->gc_xacts += metrics.gc_xacts();
+  result->client_crashes += metrics.client_crashes();
+  result->server_crashes += metrics.server_crashes();
+  result->recovery_seconds += sim::TicksToSeconds(metrics.recovery_ticks());
+  result->transactions_lost += metrics.transactions_lost();
+  result->unknown_outcomes += metrics.unknown_outcomes();
+  result->shed_requests += metrics.shed_requests();
+  result->retry_budget_exhaustions += metrics.retry_budget_exhaustions();
+}
+
+void HarvestServer(server::Server& server, RunResult* result) {
+  result->deadlocks_detected = server.locks().deadlocks_detected();
+  result->server_buffer_hit_ratio = server.pool().HitRatio();
+  result->buffer_writebacks = server.pool().writebacks();
+  result->log_forced_commits = server.log().commits_logged();
+  result->undo_page_ios = server.log().undo_page_ios();
+  result->ready_queue_high_water = server.ready_queue_high_water();
+  result->log_torn_writes = server.log().torn_writes_detected();
+  result->log_bit_flips = server.log().bit_flips_detected();
+  result->log_rewrites = server.log().log_rewrites();
+  result->log_records_truncated = server.log().records_truncated();
+  result->final_lock_waiters = server.locks().waiter_count();
+  result->final_locks_held = server.locks().held_count();
+  result->final_active_xacts = server.active_transactions();
+  result->final_ready_queue = server.ready_queue_length();
+}
+
+void AddNetworkCounters(const net::Network& network, RunResult* result) {
+  result->messages += network.messages_sent();
+  result->packets += network.packets_sent();
+}
+
+void AddInjectorCounters(const fault::FaultInjector& injector,
+                         RunResult* result) {
+  result->messages_dropped += injector.messages_dropped();
+  result->messages_duplicated += injector.messages_duplicated();
+  result->delay_spikes += injector.delay_spikes();
+  result->down_drops += injector.down_drops();
+  result->partition_drops += injector.partition_drops();
+}
+
+void HarvestOracle(check::Checker& checker, RunResult* result) {
+  const check::Oracle& oracle = checker.oracle();
+  result->oracle_enabled = true;
+  result->oracle_commits = oracle.commits_observed();
+  result->oracle_edges = oracle.edges();
+  result->oracle_scc_checks = oracle.scc_checks();
+  result->oracle_max_frontier = oracle.max_frontier();
+  result->oracle_audits = checker.audits();
+  result->oracle_client_audits = checker.client_audits();
+  result->oracle_trusted_reads = oracle.trusted_reads();
+  result->oracle_stale_commit_reads = oracle.stale_commit_reads();
+  result->oracle_unknown_committed = oracle.unknown_resolved_committed();
+  result->oracle_unknown_aborted = oracle.unknown_resolved_aborted();
+}
+
+void SetPercentiles(const LatencyHistogram& histogram, RunResult* result) {
+  result->response_p50_s = histogram.Quantile(0.50);
+  result->response_p90_s = histogram.Quantile(0.90);
+  result->response_p99_s = histogram.Quantile(0.99);
 }
 
 }  // namespace ccsim::runner

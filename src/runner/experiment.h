@@ -2,12 +2,30 @@
 #define CCSIM_RUNNER_EXPERIMENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "config/params.h"
+#include "fault/fault_plan.h"
 #include "runner/metrics.h"
 #include "util/status.h"
+
+namespace ccsim::check {
+class Checker;
+}  // namespace ccsim::check
+namespace ccsim::fault {
+class FaultInjector;
+}  // namespace ccsim::fault
+namespace ccsim::net {
+class Network;
+}  // namespace ccsim::net
+namespace ccsim::server {
+class Server;
+}  // namespace ccsim::server
+namespace ccsim::sim {
+class Simulator;
+}  // namespace ccsim::sim
 
 namespace ccsim::runner {
 
@@ -153,6 +171,48 @@ struct RunResult {
 /// measurement window (until `target_commits` or `max_measure_seconds`,
 /// whichever first), and harvests the results.
 Result<RunResult> RunExperiment(const config::ExperimentConfig& config);
+
+// --- pieces both substrates share (runner/deployment.h for the real one) ---
+
+/// Plans a server crash window on `calendar`: at its start the server is
+/// marked down, `on_crash` runs (the real substrate severs every TCP
+/// connection there), and the server crashes; at its end the log is
+/// replayed and traffic readmitted.
+void ScheduleServerCrash(sim::Simulator& calendar,
+                         fault::FaultInjector* injector,
+                         server::Server* server,
+                         const fault::CrashWindow& window,
+                         std::function<void()> on_crash = nullptr);
+
+/// Plans a partition window on `calendar`: the link is cut at its start
+/// and healed at its end. A hard window also runs `sever` at the start
+/// (the real substrate kills the carrying connection; the DES has none).
+void SchedulePartition(sim::Simulator& calendar,
+                       fault::FaultInjector* injector,
+                       const fault::PartitionWindow& window,
+                       std::function<void()> sever = nullptr);
+
+/// Adds `metrics`' event counters (commits, aborts, attempts, recovery
+/// and overload counters, recovery time) to `result`. Every event is
+/// recorded on exactly one node, so summing nodes double-counts nothing.
+void AddMetricCounters(const Metrics& metrics, RunResult* result);
+
+/// Sets the server-side counters: lock manager, buffer pool, log, ready
+/// queue, and the end-of-run lock/transaction state.
+void HarvestServer(server::Server& server, RunResult* result);
+
+/// Adds a network's message and packet counts to `result`.
+void AddNetworkCounters(const net::Network& network, RunResult* result);
+
+/// Adds an injector's message-fault counters to `result`.
+void AddInjectorCounters(const fault::FaultInjector& injector,
+                         RunResult* result);
+
+/// Sets the oracle counters; call once the checker is finalized.
+void HarvestOracle(check::Checker& checker, RunResult* result);
+
+/// Sets the p50/p90/p99 response times from `histogram`.
+void SetPercentiles(const LatencyHistogram& histogram, RunResult* result);
 
 }  // namespace ccsim::runner
 

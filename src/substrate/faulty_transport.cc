@@ -13,7 +13,7 @@ void WireFaultAdapter::Deliver(const net::Message& msg) {
     injector_.RecordPartitionDrop();
     return;
   }
-  switch (injector_.DrawSendOutcome(msg.src, msg.dst)) {
+  switch (injector_.DrawSendOutcome()) {
     case fault::FaultInjector::SendOutcome::kDrop:
       return;
     case fault::FaultInjector::SendOutcome::kDuplicate:
@@ -30,7 +30,7 @@ void WireFaultAdapter::Deliver(const net::Message& msg) {
 }
 
 void WireFaultAdapter::Forward(const net::Message& msg) {
-  const sim::Ticks spike = injector_.DrawExtraDelay(msg.src, msg.dst);
+  const sim::Ticks spike = injector_.DrawExtraDelay();
   if (spike > 0) {
     const sim::Ticks due = substrate_->WallTicks() + spike;
     delayed_.push_back(Delayed{due, delay_order_++, msg});

@@ -21,7 +21,7 @@ namespace ccsim::substrate {
 inline constexpr std::uint64_t kWireFaultStream = 0xFA17;
 
 /// Fault-injecting decorator at the net::Transport seam: applies the
-/// FaultPlan's per-link drop/duplicate/delay-spike draws to whole messages
+/// FaultPlan's drop/duplicate/delay-spike draws to whole messages
 /// (= whole frames once encoded) before they reach the real wire transport,
 /// and filters inbound messages against crash/partition windows.
 ///

@@ -1,5 +1,5 @@
 // Property tests for LatencyHistogram::Merge — the operation every
-// multi-shard harvest leans on (real_experiment.cc and ccload merge one
+// multi-shard harvest leans on (ClientDeployment::Harvest merges one
 // histogram per shard before reporting percentiles).
 //
 // The properties: (1) merging per-shard histograms is exactly equivalent

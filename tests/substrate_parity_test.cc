@@ -28,7 +28,7 @@
 #include "config/params.h"
 #include "net/message.h"
 #include "runner/experiment.h"
-#include "runner/real_experiment.h"
+#include "runner/deployment.h"
 #include "sim/simulator.h"
 #include "substrate/realtime.h"
 #include "substrate/tcp.h"
@@ -160,6 +160,63 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "Unknown";
     });
+
+// ccserve --crash + ccload --recovery, in one process: the server's config
+// carries the crash window, the clients' config only the recovery layer
+// (so no wire faults and no adapter on their side). The shards must still
+// redial after the crash severs them, and commits must resume.
+TEST(SplitDeploymentTest, ClientsWithOnlyRecoveryRideOutAServerCrash) {
+  ExperimentConfig server_cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
+                                             CachingMode::kInterTransaction);
+  server_cfg.fault.recovery_enabled = true;
+  server_cfg.fault.crashes.push_back(
+      {/*node=*/net::kServerNode, /*at_s=*/0.3, /*downtime_s=*/0.2});
+  ExperimentConfig client_cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
+                                             CachingMode::kInterTransaction);
+  client_cfg.fault.recovery_enabled = true;
+  const Result<ExperimentConfig> server_real =
+      runner::PrepareRealConfig(server_cfg);
+  const Result<ExperimentConfig> client_real =
+      runner::PrepareRealConfig(client_cfg);
+  ASSERT_TRUE(server_real.ok()) << server_real.status().ToString();
+  ASSERT_TRUE(client_real.ok()) << client_real.status().ToString();
+
+  auto server = runner::ServerDeployment::Start(server_real.ValueOrDie(),
+                                                /*port=*/0, "127.0.0.1");
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  EXPECT_TRUE(server.ValueOrDie()->wire_faults());
+  auto clients = runner::ClientDeployment::Connect(
+      client_real.ValueOrDie(), "127.0.0.1", server.ValueOrDie()->port(),
+      0, client_cfg.system.num_clients, /*shards=*/2);
+  ASSERT_TRUE(clients.ok()) << clients.status().ToString();
+  EXPECT_FALSE(clients.ValueOrDie()->wire_faults());
+  // The stats window opens after the crash window has closed, so every
+  // commit it counts happened after the restart.
+  clients.ValueOrDie()->Run(/*warmup_seconds=*/1.2,
+                            /*duration_seconds=*/1.0);
+  server.ValueOrDie()->Stop();
+
+  RunResult r;
+  clients.ValueOrDie()->Harvest(&r);
+  server.ValueOrDie()->Harvest(&r);
+  EXPECT_EQ(r.server_crashes, 1u);
+  EXPECT_GE(clients.ValueOrDie()->reconnects(), 2u);  // one per shard
+  EXPECT_GT(r.commits, 0u);
+  EXPECT_EQ(r.transactions_lost, 0u);
+  EXPECT_TRUE(r.oracle_enabled);
+}
+
+TEST(SplitDeploymentTest, ShardCountHonoursAnExplicitCount) {
+  EXPECT_EQ(runner::ShardCount(1, 8), 1);  // ccload --threads=1
+  EXPECT_EQ(runner::ShardCount(3, 8), 3);
+  EXPECT_EQ(runner::ShardCount(16, 8), 8);  // never more than clients
+  // The default: one shard per 8 clients, at least 2.
+  EXPECT_EQ(runner::ShardCount(0, 8), 2);
+  EXPECT_EQ(runner::ShardCount(0, 6), 2);
+  EXPECT_EQ(runner::ShardCount(0, 1), 1);
+  EXPECT_EQ(runner::ShardCount(0, 17), 3);
+  EXPECT_EQ(runner::ShardCount(-1, 40), 5);
+}
 
 // ---------------------------------------------------------------------------
 // Batched-I/O ordering: the DESIGN.md §5e contract at the transport level

@@ -11,49 +11,18 @@
 // (started == commits + aborts + in-flight, in-flight <= clients) fails,
 // or nothing committed at all.
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "config/params.h"
-#include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
-#include "net/message.h"
-#include "runner/metrics.h"
-#include "sim/time.h"
-#include "substrate/faulty_transport.h"
-#include "substrate/node.h"
-#include "substrate/tcp.h"
+#include "config/flags.h"
+#include "runner/deployment.h"
 
 namespace {
 
-using ccsim::config::Algorithm;
-using ccsim::config::CachingMode;
-using ccsim::config::ExperimentConfig;
-
-struct AlgorithmChoice {
-  const char* name;
-  Algorithm algorithm;
-  CachingMode caching;
-};
-
-const AlgorithmChoice kAlgorithms[] = {
-    {"2pl", Algorithm::kTwoPhaseLocking, CachingMode::kInterTransaction},
-    {"2pl-intra", Algorithm::kTwoPhaseLocking,
-     CachingMode::kIntraTransaction},
-    {"cert", Algorithm::kCertification, CachingMode::kInterTransaction},
-    {"cert-intra", Algorithm::kCertification,
-     CachingMode::kIntraTransaction},
-    {"callback", Algorithm::kCallbackLocking,
-     CachingMode::kInterTransaction},
-    {"no-wait", Algorithm::kNoWaitLocking, CachingMode::kInterTransaction},
-    {"no-wait-notify", Algorithm::kNoWaitNotify,
-     CachingMode::kInterTransaction},
-};
+using ccsim::config::FlagResult;
+using ccsim::config::ParseValue;
 
 void PrintUsage() {
   std::printf(
@@ -88,21 +57,9 @@ void PrintUsage() {
       "  --help                this text\n");
 }
 
-bool ParseValue(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *out = arg + len + 1;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  ExperimentConfig cfg = ccsim::config::BaseConfig();
-  cfg.system.num_clients = 10;
-  std::string algorithm_name = "2pl";
   std::string host = "127.0.0.1";
   std::string port_file;
   int port = 0;
@@ -111,118 +68,46 @@ int main(int argc, char** argv) {
   int threads = 0;
   double duration_s = 10.0;
   double warmup_s = 1.0;
-
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string value;
-    if (std::strcmp(arg, "--help") == 0) {
-      PrintUsage();
-      return 0;
-    }
-    if (ParseValue(arg, "--host", &value)) {
-      host = value;
-    } else if (ParseValue(arg, "--port", &value)) {
-      port = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--port-file", &value)) {
-      port_file = value;
-    } else if (ParseValue(arg, "--algorithm", &value)) {
-      algorithm_name = value;
-    } else if (ParseValue(arg, "--clients", &value)) {
-      cfg.system.num_clients = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--lo", &value)) {
-      lo = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--hi", &value)) {
-      hi = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--threads", &value)) {
-      threads = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--duration", &value)) {
-      duration_s = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--warmup", &value)) {
-      warmup_s = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--locality", &value)) {
-      cfg.transaction.inter_xact_loc = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--prob-write", &value)) {
-      cfg.transaction.prob_write = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--seed", &value)) {
-      cfg.control.seed = static_cast<std::uint64_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-    } else if (std::strcmp(arg, "--recovery") == 0) {
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--drop", &value)) {
-      cfg.fault.drop_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--dup", &value)) {
-      cfg.fault.duplicate_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--spike", &value)) {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--spike wants P:MS\n");
-        return 2;
-      }
-      cfg.fault.delay_spike_probability =
-          std::atof(value.substr(0, colon).c_str());
-      cfg.fault.delay_spike_ms = std::atof(value.substr(colon + 1).c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--partition", &value)) {
-      const std::size_t c1 = value.find(':');
-      const std::size_t c2 =
-          c1 == std::string::npos ? std::string::npos : value.find(':', c1 + 1);
-      if (c2 == std::string::npos) {
-        std::fprintf(stderr, "--partition wants NODE:AT:DUR[:DIR][:hard]\n");
-        return 2;
-      }
-      const std::size_t c3 = value.find(':', c2 + 1);
-      ccsim::config::FaultParams::PartitionEvent part;
-      part.node = std::atoi(value.substr(0, c1).c_str());
-      part.at_s = std::atof(value.substr(c1 + 1, c2 - c1 - 1).c_str());
-      part.duration_s = std::atof(value.substr(c2 + 1, c3 - c2 - 1).c_str());
-      for (std::size_t pos = c3; pos != std::string::npos;) {
-        const std::size_t next = value.find(':', pos + 1);
-        const std::string token = value.substr(
-            pos + 1,
-            next == std::string::npos ? std::string::npos : next - pos - 1);
-        if (token == "both") {
-          part.direction = 0;
-        } else if (token == "in") {
-          part.direction = 1;
-        } else if (token == "out") {
-          part.direction = 2;
-        } else if (token == "hard") {
-          part.hard = true;
+  ccsim::config::CommandLine cl;
+  const ccsim::Status parsed = ccsim::config::ParseCommandLine(
+      ccsim::config::Tool::kLoad, argc, argv,
+      [&](const char* arg, std::string*) {
+        std::string value;
+        if (ParseValue(arg, "--host", &value)) {
+          host = value;
+        } else if (ParseValue(arg, "--port", &value)) {
+          port = std::atoi(value.c_str());
+        } else if (ParseValue(arg, "--port-file", &value)) {
+          port_file = value;
+        } else if (ParseValue(arg, "--lo", &value)) {
+          lo = std::atoi(value.c_str());
+        } else if (ParseValue(arg, "--hi", &value)) {
+          hi = std::atoi(value.c_str());
+        } else if (ParseValue(arg, "--threads", &value)) {
+          threads = std::atoi(value.c_str());
+        } else if (ParseValue(arg, "--duration", &value)) {
+          duration_s = std::atof(value.c_str());
+        } else if (ParseValue(arg, "--warmup", &value)) {
+          warmup_s = std::atof(value.c_str());
         } else {
-          std::fprintf(stderr,
-                       "--partition DIR wants both|in|out (optionally "
-                       "followed by :hard)\n");
-          return 2;
+          return FlagResult::kNotMine;
         }
-        pos = next;
-      }
-      cfg.fault.partitions.push_back(part);
-      cfg.fault.recovery_enabled = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg);
-      return 2;
-    }
-  }
-
-  bool found = false;
-  for (const AlgorithmChoice& choice : kAlgorithms) {
-    if (algorithm_name == choice.name) {
-      cfg.algorithm.algorithm = choice.algorithm;
-      cfg.algorithm.caching = choice.caching;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    std::fprintf(stderr, "unknown algorithm '%s'\n", algorithm_name.c_str());
+        return FlagResult::kTaken;
+      },
+      &cl);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
     return 2;
   }
-  cfg = ccsim::substrate::RawSpeedConfig(cfg);
-  if (const ccsim::Status status = cfg.Validate(); !status.ok()) {
+  if (cl.help) {
+    PrintUsage();
+    return 0;
+  }
+  ccsim::Result<ccsim::config::ExperimentConfig> cfg =
+      ccsim::runner::PrepareRealConfig(cl.config);
+  if (!cfg.ok()) {
     std::fprintf(stderr, "invalid configuration: %s\n",
-                 status.ToString().c_str());
+                 cfg.status().ToString().c_str());
     return 2;
   }
   if (!port_file.empty()) {
@@ -240,216 +125,75 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "need --port or --port-file\n");
     return 2;
   }
+  const int num_clients = cl.config.system.num_clients;
   if (hi < 0) {
-    hi = cfg.system.num_clients;
+    hi = num_clients;
   }
-  if (lo < 0 || lo >= hi || hi > cfg.system.num_clients) {
+  if (lo < 0 || lo >= hi || hi > num_clients) {
     std::fprintf(stderr, "bad client slice [%d, %d) of %d\n", lo, hi,
-                 cfg.system.num_clients);
+                 num_clients);
     return 2;
-  }
-  const int driven = hi - lo;
-  int shards = threads > 0 ? threads : (driven + 7) / 8;
-  if (shards < 2) {
-    shards = 2;
-  }
-  if (shards > driven) {
-    shards = driven;
   }
   if (duration_s <= 0) {
     std::fprintf(stderr, "--duration must be positive\n");
     return 2;
   }
 
-  // --- connect shards -----------------------------------------------------
-  const ccsim::fault::FaultPlan plan = ccsim::fault::MakePlan(cfg.fault);
-  const bool wire_faults = plan.link.Any() || !plan.partitions.empty();
-  const ccsim::substrate::Hello base_hello = ccsim::substrate::MakeHello(cfg);
-  std::vector<std::unique_ptr<ccsim::substrate::ClientShard>> shard_nodes;
-  std::vector<std::unique_ptr<ccsim::substrate::TcpClientTransport>>
-      transports;
-  std::vector<std::unique_ptr<ccsim::substrate::WireFaultAdapter>> adapters;
-  for (int s = 0; s < shards; ++s) {
-    const int shard_lo = lo + driven * s / shards;
-    const int shard_hi = lo + driven * (s + 1) / shards;
-    auto shard = std::make_unique<ccsim::substrate::ClientShard>(
-        cfg, cfg.control.seed, shard_lo, shard_hi);
-    ccsim::substrate::Hello hello = base_hello;
-    hello.client_lo = shard_lo;
-    hello.client_hi = shard_hi;
-    std::string error;
-    auto transport = ccsim::substrate::TcpClientTransport::Connect(
-        host, port, hello, &shard->substrate(), &error);
-    if (transport == nullptr) {
-      std::fprintf(stderr, "connect to %s:%d failed: %s\n", host.c_str(),
-                   port, error.c_str());
-      return 1;
-    }
-    ccsim::substrate::TcpClientTransport* t = transport.get();
-    if (cfg.fault.recovery_enabled) {
-      // A server crash (or a hard partition) kills this shard's connection;
-      // the reader redials so RPC retries can land post-recovery.
-      t->EnableReconnect();
-    }
-    if (wire_faults) {
-      auto adapter = std::make_unique<ccsim::substrate::WireFaultAdapter>(
-          plan, cfg.control.seed + 1 + static_cast<std::uint64_t>(s),
-          &shard->substrate(), t);
-      ccsim::substrate::WireFaultAdapter* ad = adapter.get();
-      shard->network().set_transport(ad);
-      shard->substrate().set_flush_hook([ad] { return ad->Flush(); });
-      shard->InstallInboundFilter(
-          [ad](const ccsim::net::Message& msg) {
-            return ad->AllowInbound(msg);
-          });
-      // Partition windows for clients this shard owns, on the shard's own
-      // calendar (ticks are wall µs relative to its loop epoch).
-      ccsim::sim::Simulator& sim = shard->substrate().sim();
-      ccsim::fault::FaultInjector* inj = &ad->injector();
-      for (const ccsim::fault::PartitionWindow& part : plan.partitions) {
-        if (part.node < shard_lo || part.node >= shard_hi) {
-          continue;
-        }
-        const int pnode = part.node;
-        const ccsim::fault::PartitionWindow::Direction dir = part.direction;
-        sim.ScheduleAt(part.at, [inj, t, pnode, dir, hard = part.hard] {
-          inj->SetPartitioned(pnode, dir, true);
-          if (hard) {
-            t->AbortConnection();
-          }
-        });
-        sim.ScheduleAt(part.at + part.duration, [inj, pnode, dir] {
-          inj->SetPartitioned(pnode, dir, false);
-        });
-      }
-      adapters.push_back(std::move(adapter));
-    } else {
-      shard->network().set_transport(t);
-      shard->substrate().set_flush_hook([t] { return t->Flush(); });
-    }
-    shard->Start();
-    shard_nodes.push_back(std::move(shard));
-    transports.push_back(std::move(transport));
+  auto connected = ccsim::runner::ClientDeployment::Connect(
+      cfg.ValueOrDie(), host, port, lo, hi, threads);
+  if (!connected.ok()) {
+    std::fprintf(stderr, "%s\n", connected.status().message().c_str());
+    return 1;
   }
+  ccsim::runner::ClientDeployment& clients = *connected.ValueOrDie();
   std::printf("ccload: %s, clients [%d, %d) of %d, %d shards -> %s:%d\n",
-              algorithm_name.c_str(), lo, hi, cfg.system.num_clients, shards,
+              cl.algorithm.c_str(), lo, hi, num_clients, clients.shards(),
               host.c_str(), port);
   std::fflush(stdout);
+  clients.Run(warmup_s, duration_s);
 
-  // --- run ----------------------------------------------------------------
-  const ccsim::sim::Ticks warmup = ccsim::sim::SecondsToTicks(warmup_s);
-  const ccsim::sim::Ticks duration = ccsim::sim::SecondsToTicks(duration_s);
-  std::vector<std::thread> loops;
-  loops.reserve(static_cast<std::size_t>(shards));
-  for (auto& shard_ptr : shard_nodes) {
-    ccsim::substrate::ClientShard* shard = shard_ptr.get();
-    loops.emplace_back(
-        [shard, warmup, duration] { shard->RunLoop(warmup, duration); });
-  }
-  for (std::thread& t : loops) {
-    t.join();
-  }
-  for (auto& transport : transports) {
-    transport->Close();
-  }
-
-  // --- report -------------------------------------------------------------
-  std::uint64_t commits = 0, aborts = 0, started = 0, lost = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t retries = 0, timeouts = 0, leases = 0, dup_suppressed = 0;
-  std::uint64_t timeout_aborts = 0, crash_aborts = 0, budget_exhausted = 0;
-  std::uint64_t unknown = 0;
-  double response_weighted = 0.0;
-  ccsim::runner::LatencyHistogram histogram;
-  for (auto& shard : shard_nodes) {
-    const ccsim::runner::Metrics& m = shard->metrics();
-    commits += m.commits();
-    aborts += m.aborts();
-    started += m.attempts_started();
-    lost += m.transactions_lost();
-    retries += m.rpc_retries();
-    timeouts += m.rpc_timeouts();
-    leases += m.lease_expirations();
-    dup_suppressed += m.duplicates_suppressed();
-    timeout_aborts += m.timeout_aborts();
-    crash_aborts += m.crash_aborts();
-    budget_exhausted += m.retry_budget_exhaustions();
-    unknown += m.unknown_outcomes();
-    response_weighted +=
-        m.response_s().mean() * static_cast<double>(m.response_s().count());
-    histogram.Merge(m.response_histogram());
-    messages += shard->network().messages_sent();
-  }
-  std::uint64_t reconnects = 0, disconnected_drops = 0;
-  for (auto& transport : transports) {
-    reconnects += transport->reconnects();
-    disconnected_drops += transport->disconnected_drops();
-  }
-  std::uint64_t wire_dropped = 0, wire_duplicated = 0, wire_spikes = 0;
-  std::uint64_t wire_down_drops = 0, wire_partition_drops = 0;
-  for (auto& adapter : adapters) {
-    const ccsim::fault::FaultInjector& inj = adapter->injector();
-    wire_dropped += inj.messages_dropped();
-    wire_duplicated += inj.messages_duplicated();
-    wire_spikes += inj.delay_spikes();
-    wire_down_drops += inj.down_drops();
-    wire_partition_drops += inj.partition_drops();
-  }
-  const std::uint64_t finished = commits + aborts;
-  const std::uint64_t in_flight = started > finished ? started - finished : 0;
+  ccsim::runner::RunResult r;
+  clients.Harvest(&r);
+  const std::uint64_t finished = r.commits + r.aborts;
+  const std::uint64_t in_flight =
+      r.attempts_started > finished ? r.attempts_started - finished : 0;
   std::printf("throughput  : %.1f commits/s over %.1f s\n",
-              static_cast<double>(commits) / duration_s, duration_s);
-  std::printf("commits     : %llu (aborts %llu, attempts started %llu, "
-              "in flight at stop %llu)\n",
-              static_cast<unsigned long long>(commits),
-              static_cast<unsigned long long>(aborts),
-              static_cast<unsigned long long>(started),
-              static_cast<unsigned long long>(in_flight));
+              static_cast<double>(r.commits) / duration_s, duration_s);
+  std::printf("commits     : %" PRIu64 " (aborts %" PRIu64
+              ", attempts started %" PRIu64 ", in flight at stop %" PRIu64
+              ")\n",
+              r.commits, r.aborts, r.attempts_started, in_flight);
   std::printf("latency     : mean %.4f s, p50 %.4f, p90 %.4f, p99 %.4f\n",
-              commits > 0
-                  ? response_weighted / static_cast<double>(commits)
-                  : 0.0,
-              histogram.Quantile(0.50), histogram.Quantile(0.90),
-              histogram.Quantile(0.99));
-  std::printf("messages    : %llu sent\n",
-              static_cast<unsigned long long>(messages));
-  if (cfg.fault.recovery_enabled) {
-    std::printf(
-        "recovery    : retries %llu, timeouts %llu, lease expirations %llu, "
-        "dup suppressed %llu, unknown outcomes %llu\n",
-        static_cast<unsigned long long>(retries),
-        static_cast<unsigned long long>(timeouts),
-        static_cast<unsigned long long>(leases),
-        static_cast<unsigned long long>(dup_suppressed),
-        static_cast<unsigned long long>(unknown));
-    std::printf(
-        "recovery    : timeout aborts %llu, crash aborts %llu, retry budget "
-        "exhausted %llu, reconnects %llu, disconnected drops %llu\n",
-        static_cast<unsigned long long>(timeout_aborts),
-        static_cast<unsigned long long>(crash_aborts),
-        static_cast<unsigned long long>(budget_exhausted),
-        static_cast<unsigned long long>(reconnects),
-        static_cast<unsigned long long>(disconnected_drops));
+              r.mean_response_s, r.response_p50_s, r.response_p90_s,
+              r.response_p99_s);
+  std::printf("messages    : %" PRIu64 " sent\n", r.messages);
+  if (cl.config.fault.recovery_enabled) {
+    std::printf("recovery    : retries %" PRIu64 ", timeouts %" PRIu64
+                ", lease expirations %" PRIu64 ", dup suppressed %" PRIu64
+                ", unknown outcomes %" PRIu64 "\n",
+                r.rpc_retries, r.rpc_timeouts, r.lease_expirations,
+                r.duplicates_suppressed, r.unknown_outcomes);
+    std::printf("recovery    : timeout aborts %" PRIu64
+                ", crash aborts %" PRIu64 ", retry budget exhausted %" PRIu64
+                ", reconnects %" PRIu64 ", disconnected drops %" PRIu64 "\n",
+                r.timeout_aborts, r.crash_aborts, r.retry_budget_exhaustions,
+                clients.reconnects(), clients.disconnected_drops());
   }
-  if (wire_faults) {
-    std::printf(
-        "wire faults : dropped %llu, duplicated %llu, spikes %llu, "
-        "down-drops %llu, partition-drops %llu\n",
-        static_cast<unsigned long long>(wire_dropped),
-        static_cast<unsigned long long>(wire_duplicated),
-        static_cast<unsigned long long>(wire_spikes),
-        static_cast<unsigned long long>(wire_down_drops),
-        static_cast<unsigned long long>(wire_partition_drops));
+  if (clients.wire_faults()) {
+    std::printf("wire faults : dropped %" PRIu64 ", duplicated %" PRIu64
+                ", spikes %" PRIu64 ", down-drops %" PRIu64
+                ", partition-drops %" PRIu64 "\n",
+                r.messages_dropped, r.messages_duplicated, r.delay_spikes,
+                r.down_drops, r.partition_drops);
   }
 
   bool ok = true;
-  if (commits == 0) {
+  if (r.commits == 0) {
     std::printf("FAIL: no transactions committed\n");
     ok = false;
   }
-  if (lost != 0) {
-    std::printf("FAIL: %llu transactions lost\n",
-                static_cast<unsigned long long>(lost));
+  if (r.transactions_lost != 0) {
+    std::printf("FAIL: %" PRIu64 " transactions lost\n", r.transactions_lost);
     ok = false;
   }
   // Window conservation: started + in_flight(start) == finished +
@@ -459,12 +203,13 @@ int main(int argc, char** argv) {
   // transaction at a time, and every faulted attempt resolves to a commit,
   // an abort, or a still-in-flight retry — never a silent disappearance
   // (that would be transactions_lost, checked above).
+  const int driven = hi - lo;
   const std::uint64_t slack = static_cast<std::uint64_t>(driven);
-  if (started > finished + slack || finished > started + slack) {
-    std::printf("FAIL: conservation violated (started %llu, finished %llu, "
-                "clients %d)\n",
-                static_cast<unsigned long long>(started),
-                static_cast<unsigned long long>(finished), driven);
+  if (r.attempts_started > finished + slack ||
+      finished > r.attempts_started + slack) {
+    std::printf("FAIL: conservation violated (started %" PRIu64
+                ", finished %" PRIu64 ", clients %d)\n",
+                r.attempts_started, finished, driven);
     ok = false;
   }
   return ok ? 0 : 1;

@@ -9,52 +9,21 @@
 // until SIGINT/SIGTERM or --duration elapses, then prints a summary and
 // exits 0 on a clean shutdown.
 
+#include <chrono>
+#include <cinttypes>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <chrono>
-#include <limits>
-#include <memory>
 #include <string>
 #include <thread>
 
-#include "config/params.h"
-#include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
-#include "net/message.h"
-#include "server/server.h"
-#include "sim/process.h"
-#include "sim/time.h"
-#include "substrate/faulty_transport.h"
-#include "substrate/node.h"
-#include "substrate/tcp.h"
+#include "config/flags.h"
+#include "runner/deployment.h"
 
 namespace {
 
-using ccsim::config::Algorithm;
-using ccsim::config::CachingMode;
-using ccsim::config::ExperimentConfig;
-
-struct AlgorithmChoice {
-  const char* name;
-  Algorithm algorithm;
-  CachingMode caching;
-};
-
-const AlgorithmChoice kAlgorithms[] = {
-    {"2pl", Algorithm::kTwoPhaseLocking, CachingMode::kInterTransaction},
-    {"2pl-intra", Algorithm::kTwoPhaseLocking,
-     CachingMode::kIntraTransaction},
-    {"cert", Algorithm::kCertification, CachingMode::kInterTransaction},
-    {"cert-intra", Algorithm::kCertification,
-     CachingMode::kIntraTransaction},
-    {"callback", Algorithm::kCallbackLocking,
-     CachingMode::kInterTransaction},
-    {"no-wait", Algorithm::kNoWaitLocking, CachingMode::kInterTransaction},
-    {"no-wait-notify", Algorithm::kNoWaitNotify,
-     CachingMode::kInterTransaction},
-};
+using ccsim::config::FlagResult;
+using ccsim::config::ParseValue;
 
 void PrintUsage() {
   std::printf(
@@ -90,240 +59,74 @@ void PrintUsage() {
       "  --help                this text\n");
 }
 
-bool ParseValue(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *out = arg + len + 1;
-  return true;
-}
-
 volatile std::sig_atomic_t g_signal = 0;
 void OnSignal(int sig) { g_signal = sig; }
-
-/// Post-crash recovery: replay the log, then readmit inbound traffic.
-ccsim::sim::Process RecoverServer(ccsim::server::Server* server,
-                                  ccsim::fault::FaultInjector* injector) {
-  co_await server->Recover();
-  injector->SetDown(ccsim::net::kServerNode, false);
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  ExperimentConfig cfg = ccsim::config::BaseConfig();
-  cfg.system.num_clients = 10;
-  std::string algorithm_name = "2pl";
   std::string port_file;
   std::string bind_host;
   int port = 0;
   double duration_s = 0.0;  // 0 = until signal
-
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string value;
-    if (std::strcmp(arg, "--help") == 0) {
-      PrintUsage();
-      return 0;
-    }
-    if (std::strcmp(arg, "--check") == 0) {
-      cfg.checker.enabled = true;
-    } else if (ParseValue(arg, "--algorithm", &value)) {
-      algorithm_name = value;
-    } else if (ParseValue(arg, "--clients", &value)) {
-      cfg.system.num_clients = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--port", &value)) {
-      port = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--bind", &value)) {
-      bind_host = value;
-    } else if (ParseValue(arg, "--port-file", &value)) {
-      port_file = value;
-    } else if (ParseValue(arg, "--buffer-pages", &value)) {
-      cfg.system.server_buffer_pages = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--mpl", &value)) {
-      cfg.system.mpl = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--seed", &value)) {
-      cfg.control.seed = static_cast<std::uint64_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-    } else if (ParseValue(arg, "--duration", &value)) {
-      duration_s = std::atof(value.c_str());
-    } else if (std::strcmp(arg, "--recovery") == 0) {
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--drop", &value)) {
-      cfg.fault.drop_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--dup", &value)) {
-      cfg.fault.duplicate_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--spike", &value)) {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--spike wants P:MS\n");
-        return 2;
-      }
-      cfg.fault.delay_spike_probability =
-          std::atof(value.substr(0, colon).c_str());
-      cfg.fault.delay_spike_ms = std::atof(value.substr(colon + 1).c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--crash", &value)) {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--crash wants AT:DOWN\n");
-        return 2;
-      }
-      ccsim::config::FaultParams::CrashEvent crash;
-      crash.node = ccsim::net::kServerNode;  // self-crash only
-      crash.at_s = std::atof(value.substr(0, colon).c_str());
-      crash.downtime_s = std::atof(value.substr(colon + 1).c_str());
-      cfg.fault.crashes.push_back(crash);
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--partition", &value)) {
-      const std::size_t c1 = value.find(':');
-      const std::size_t c2 =
-          c1 == std::string::npos ? std::string::npos : value.find(':', c1 + 1);
-      if (c2 == std::string::npos) {
-        std::fprintf(stderr, "--partition wants NODE:AT:DUR[:DIR][:hard]\n");
-        return 2;
-      }
-      const std::size_t c3 = value.find(':', c2 + 1);
-      ccsim::config::FaultParams::PartitionEvent part;
-      part.node = std::atoi(value.substr(0, c1).c_str());
-      part.at_s = std::atof(value.substr(c1 + 1, c2 - c1 - 1).c_str());
-      part.duration_s = std::atof(value.substr(c2 + 1, c3 - c2 - 1).c_str());
-      for (std::size_t pos = c3; pos != std::string::npos;) {
-        const std::size_t next = value.find(':', pos + 1);
-        const std::string token = value.substr(
-            pos + 1,
-            next == std::string::npos ? std::string::npos : next - pos - 1);
-        if (token == "both") {
-          part.direction = 0;
-        } else if (token == "in") {
-          part.direction = 1;
-        } else if (token == "out") {
-          part.direction = 2;
-        } else if (token == "hard") {
-          part.hard = true;
+  ccsim::config::CommandLine cl;
+  const ccsim::Status parsed = ccsim::config::ParseCommandLine(
+      ccsim::config::Tool::kServe, argc, argv,
+      [&](const char* arg, std::string*) {
+        std::string value;
+        if (ParseValue(arg, "--port", &value)) {
+          port = std::atoi(value.c_str());
+        } else if (ParseValue(arg, "--bind", &value)) {
+          bind_host = value;
+        } else if (ParseValue(arg, "--port-file", &value)) {
+          port_file = value;
+        } else if (ParseValue(arg, "--duration", &value)) {
+          duration_s = std::atof(value.c_str());
         } else {
-          std::fprintf(stderr,
-                       "--partition DIR wants both|in|out (optionally "
-                       "followed by :hard)\n");
-          return 2;
+          return FlagResult::kNotMine;
         }
-        pos = next;
-      }
-      cfg.fault.partitions.push_back(part);
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--torn-write", &value)) {
-      cfg.fault.torn_write_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--bit-flip", &value)) {
-      cfg.fault.bit_flip_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg);
-      return 2;
-    }
-  }
-
-  bool found = false;
-  for (const AlgorithmChoice& choice : kAlgorithms) {
-    if (algorithm_name == choice.name) {
-      cfg.algorithm.algorithm = choice.algorithm;
-      cfg.algorithm.caching = choice.caching;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    std::fprintf(stderr, "unknown algorithm '%s'\n", algorithm_name.c_str());
+        return FlagResult::kTaken;
+      },
+      &cl);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
     return 2;
   }
-  cfg = ccsim::substrate::RawSpeedConfig(cfg);
-  if (const ccsim::Status status = cfg.Validate(); !status.ok()) {
+  if (cl.help) {
+    PrintUsage();
+    return 0;
+  }
+  ccsim::Result<ccsim::config::ExperimentConfig> cfg =
+      ccsim::runner::PrepareRealConfig(cl.config);
+  if (!cfg.ok()) {
     std::fprintf(stderr, "invalid configuration: %s\n",
-                 status.ToString().c_str());
+                 cfg.status().ToString().c_str());
     return 2;
   }
 
-  ccsim::substrate::ServerNode node(cfg, cfg.control.seed);
-  std::string error;
-  auto transport = ccsim::substrate::TcpServerTransport::Listen(
-      port, ccsim::substrate::MakeHello(cfg), &node.substrate(), &error,
-      bind_host);
-  if (transport == nullptr) {
-    std::fprintf(stderr, "listen failed: %s\n", error.c_str());
+  auto started = ccsim::runner::ServerDeployment::Start(cfg.ValueOrDie(),
+                                                        port, bind_host);
+  if (!started.ok()) {
+    std::fprintf(stderr, "%s\n", started.status().message().c_str());
     return 1;
   }
-  ccsim::substrate::TcpServerTransport* t = transport.get();
-  const ccsim::fault::FaultPlan plan = ccsim::fault::MakePlan(cfg.fault);
-  const bool wire_faults =
-      plan.link.Any() || !plan.crashes.empty() || !plan.partitions.empty();
-  std::unique_ptr<ccsim::substrate::WireFaultAdapter> adapter;
-  if (wire_faults) {
-    adapter = std::make_unique<ccsim::substrate::WireFaultAdapter>(
-        plan, cfg.control.seed, &node.substrate(), t);
-    ccsim::substrate::WireFaultAdapter* ad = adapter.get();
-    node.network().set_transport(ad);
-    node.substrate().set_flush_hook([ad] { return ad->Flush(); });
-    node.InstallInboundFilter(
-        [ad](const ccsim::net::Message& msg) { return ad->AllowInbound(msg); });
-    // Plant the fault windows before the loop thread exists: plan ticks
-    // are wall µs relative to the loop epoch (Run() start).
-    ccsim::sim::Simulator& sim = node.substrate().sim();
-    ccsim::server::Server* srv = &node.server();
-    ccsim::fault::FaultInjector* inj = &ad->injector();
-    for (const ccsim::fault::CrashWindow& crash : plan.crashes) {
-      sim.ScheduleAt(crash.at, [inj, t, srv] {
-        inj->SetDown(ccsim::net::kServerNode, true);
-        t->SeverAll();  // a real crash takes the TCP endpoints with it
-        srv->Crash();
-      });
-      ccsim::sim::Simulator* simp = &sim;
-      sim.ScheduleAt(crash.at + crash.downtime, [simp, srv, inj] {
-        simp->Spawn(RecoverServer(srv, inj));
-      });
-    }
-    for (const ccsim::fault::PartitionWindow& part : plan.partitions) {
-      const int pnode = part.node;
-      const ccsim::fault::PartitionWindow::Direction dir = part.direction;
-      sim.ScheduleAt(part.at, [inj, t, pnode, dir, hard = part.hard] {
-        inj->SetPartitioned(pnode, dir, true);
-        if (hard) {
-          t->SeverClient(pnode);
-        }
-      });
-      sim.ScheduleAt(part.at + part.duration, [inj, pnode, dir] {
-        inj->SetPartitioned(pnode, dir, false);
-      });
-    }
-  } else {
-    node.network().set_transport(t);
-    node.substrate().set_flush_hook([t] { return t->Flush(); });
-  }
-  node.Start();
-
+  ccsim::runner::ServerDeployment& server = *started.ValueOrDie();
   if (!port_file.empty()) {
     std::FILE* f = std::fopen(port_file.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", port_file.c_str());
       return 1;
     }
-    std::fprintf(f, "%d\n", transport->port());
+    std::fprintf(f, "%d\n", server.port());
     std::fclose(f);
   }
-  std::printf("ccserve: %s, %d clients, port %d%s\n", algorithm_name.c_str(),
-              cfg.system.num_clients, transport->port(),
-              cfg.checker.enabled ? ", oracle on" : "");
+  std::printf("ccserve: %s, %d clients, port %d%s\n", cl.algorithm.c_str(),
+              cl.config.system.num_clients, server.port(),
+              cl.config.checker.enabled ? ", oracle on" : "");
   std::fflush(stdout);
 
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
-
-  std::uint64_t events = 0;
-  std::thread loop([&node, &events] {
-    events = node.RunLoop(std::numeric_limits<ccsim::sim::Ticks>::max() / 4);
-  });
   // Signal handlers cannot touch the substrate's condition variable, so a
   // watcher polls the flag (and the optional wall deadline) at 50 ms.
   const auto deadline =
@@ -337,64 +140,40 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  node.substrate().Stop();
-  loop.join();
-  // A signal can land mid-flush: finish the write-out (bounded) so peers
-  // see complete frames, or poison the dirty connections so they see a
-  // clean cut instead of a torn frame.
-  const bool drained = transport->DrainOrPoison(2.0);
-  if (!drained) {
+  if (!server.Stop()) {
     std::printf("ccserve: shutdown flush timed out — poisoned dirty "
                 "connections (peers see RST, not a torn frame)\n");
   }
-  transport->Close();
-  node.FinalizeChecker();
 
-  std::printf(
-      "ccserve: clean shutdown — %llu events, %llu frames in, "
-      "%llu connections, %llu unroutable drops\n",
-      static_cast<unsigned long long>(events),
-      static_cast<unsigned long long>(transport->frames_received()),
-      static_cast<unsigned long long>(transport->connections_accepted()),
-      static_cast<unsigned long long>(transport->unroutable_drops()));
-  std::printf(
-      "ccserve: commits logged %llu, buffer hit %.2f, writebacks %llu, "
-      "deadlocks %llu, shed %llu\n",
-      static_cast<unsigned long long>(node.server().log().commits_logged()),
-      node.server().pool().HitRatio(),
-      static_cast<unsigned long long>(node.server().pool().writebacks()),
-      static_cast<unsigned long long>(
-          node.server().locks().deadlocks_detected()),
-      static_cast<unsigned long long>(node.metrics().shed_requests()));
-  if (adapter != nullptr) {
-    const ccsim::fault::FaultInjector& inj = adapter->injector();
-    std::printf(
-        "ccserve: wire faults — dropped %llu, duplicated %llu, spikes %llu, "
-        "down-drops %llu, partition-drops %llu\n",
-        static_cast<unsigned long long>(inj.messages_dropped()),
-        static_cast<unsigned long long>(inj.messages_duplicated()),
-        static_cast<unsigned long long>(inj.delay_spikes()),
-        static_cast<unsigned long long>(inj.down_drops()),
-        static_cast<unsigned long long>(inj.partition_drops()));
-    std::printf(
-        "ccserve: crashes %llu (recovery %.3f s), torn writes %llu, "
-        "bit flips %llu, log rewrites %llu, records truncated %llu\n",
-        static_cast<unsigned long long>(node.metrics().server_crashes()),
-        ccsim::sim::TicksToSeconds(node.metrics().recovery_ticks()),
-        static_cast<unsigned long long>(
-            node.server().log().torn_writes_detected()),
-        static_cast<unsigned long long>(
-            node.server().log().bit_flips_detected()),
-        static_cast<unsigned long long>(node.server().log().log_rewrites()),
-        static_cast<unsigned long long>(
-            node.server().log().records_truncated()));
+  ccsim::runner::RunResult r;
+  server.Harvest(&r);
+  const ccsim::substrate::TcpServerTransport& t = server.transport();
+  std::printf("ccserve: clean shutdown — %" PRIu64 " events, %" PRIu64
+              " frames in, %" PRIu64 " connections, %" PRIu64
+              " unroutable drops\n",
+              r.events_processed, t.frames_received(),
+              t.connections_accepted(), t.unroutable_drops());
+  std::printf("ccserve: commits logged %" PRIu64 ", buffer hit %.2f, "
+              "writebacks %" PRIu64 ", deadlocks %" PRIu64 ", shed %" PRIu64
+              "\n",
+              r.log_forced_commits, r.server_buffer_hit_ratio,
+              r.buffer_writebacks, r.deadlocks_detected, r.shed_requests);
+  if (server.wire_faults()) {
+    std::printf("ccserve: wire faults — dropped %" PRIu64
+                ", duplicated %" PRIu64 ", spikes %" PRIu64
+                ", down-drops %" PRIu64 ", partition-drops %" PRIu64 "\n",
+                r.messages_dropped, r.messages_duplicated, r.delay_spikes,
+                r.down_drops, r.partition_drops);
+    std::printf("ccserve: crashes %" PRIu64 " (recovery %.3f s), torn writes %"
+                PRIu64 ", bit flips %" PRIu64 ", log rewrites %" PRIu64
+                ", records truncated %" PRIu64 "\n",
+                r.server_crashes, r.recovery_seconds, r.log_torn_writes,
+                r.log_bit_flips, r.log_rewrites, r.log_records_truncated);
   }
-  if (node.checker() != nullptr) {
-    std::printf("ccserve: oracle clean — %llu commits checked, %llu edges\n",
-                static_cast<unsigned long long>(
-                    node.checker()->oracle().commits_observed()),
-                static_cast<unsigned long long>(
-                    node.checker()->oracle().edges()));
+  if (r.oracle_enabled) {
+    std::printf("ccserve: oracle clean — %" PRIu64 " commits checked, %" PRIu64
+                " edges\n",
+                r.oracle_commits, r.oracle_edges);
   }
   return 0;
 }

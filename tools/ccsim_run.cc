@@ -15,39 +15,20 @@
 #include <string>
 #include <vector>
 
+#include "config/flags.h"
 #include "config/params.h"
+#include "runner/deployment.h"
 #include "runner/experiment.h"
-#include "runner/real_experiment.h"
 #include "runner/report.h"
 #include "runner/sweep.h"
 #include "sim/random.h"
 
 namespace {
 
-using ccsim::config::Algorithm;
-using ccsim::config::CachingMode;
 using ccsim::config::ExperimentConfig;
+using ccsim::config::FlagResult;
+using ccsim::config::ParseValue;
 using ccsim::runner::RunResult;
-
-struct AlgorithmChoice {
-  const char* name;
-  Algorithm algorithm;
-  CachingMode caching;
-};
-
-const AlgorithmChoice kAlgorithms[] = {
-    {"2pl", Algorithm::kTwoPhaseLocking, CachingMode::kInterTransaction},
-    {"2pl-intra", Algorithm::kTwoPhaseLocking,
-     CachingMode::kIntraTransaction},
-    {"cert", Algorithm::kCertification, CachingMode::kInterTransaction},
-    {"cert-intra", Algorithm::kCertification,
-     CachingMode::kIntraTransaction},
-    {"callback", Algorithm::kCallbackLocking,
-     CachingMode::kInterTransaction},
-    {"no-wait", Algorithm::kNoWaitLocking, CachingMode::kInterTransaction},
-    {"no-wait-notify", Algorithm::kNoWaitNotify,
-     CachingMode::kInterTransaction},
-};
 
 void PrintUsage() {
   std::printf(
@@ -98,9 +79,8 @@ void PrintUsage() {
       "  --substrate=NAME        sim (default: deterministic discrete-event\n"
       "                          simulation) | real (threads + TCP loopback,\n"
       "                          wall-clock paced; fault plans run on the\n"
-      "                          wire — only sim-only flags such as\n"
-      "                          --record-history and client crashes are\n"
-      "                          rejected)\n"
+      "                          wire — only client crashes, which are\n"
+      "                          sim-only, are rejected)\n"
       "  --duration=S            real-substrate measurement window in wall\n"
       "                          seconds (default 5)\n"
       "  --shards=N              real-substrate load-generator threads\n"
@@ -112,15 +92,6 @@ void PrintUsage() {
       "  --csv                   one-line machine-readable output\n"
       "  --list                  list algorithm names and exit\n"
       "  --help                  this text\n");
-}
-
-bool ParseValue(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *out = arg + len + 1;
-  return true;
 }
 
 void PrintCsvHeader() {
@@ -290,14 +261,8 @@ int RunChaosSoak(int n, std::uint64_t base_seed, int jobs) {
                 static_cast<unsigned long long>(seed),
                 plans[static_cast<std::size_t>(i)].c_str());
     for (const char* name : kSoakAlgorithms) {
-      for (const AlgorithmChoice& choice : kAlgorithms) {
-        if (std::strcmp(name, choice.name) == 0) {
-          cfg.algorithm.algorithm = choice.algorithm;
-          cfg.algorithm.caching = choice.caching;
-          configs.push_back(cfg);
-          break;
-        }
-      }
+      ccsim::config::SetAlgorithm(name, &cfg);
+      configs.push_back(cfg);
     }
   }
   std::fflush(stdout);
@@ -435,13 +400,7 @@ int RunRealChaosSoak(int n, std::uint64_t base_seed) {
                 static_cast<unsigned long long>(seed), plan.c_str());
     std::fflush(stdout);
     for (const char* name : kSoakAlgorithms) {
-      for (const AlgorithmChoice& choice : kAlgorithms) {
-        if (std::strcmp(name, choice.name) == 0) {
-          cfg.algorithm.algorithm = choice.algorithm;
-          cfg.algorithm.caching = choice.caching;
-          break;
-        }
-      }
+      ccsim::config::SetAlgorithm(name, &cfg);
       ccsim::runner::RealRunOptions opts;
       opts.warmup_seconds = 1.0;
       opts.duration_seconds = 3.0;
@@ -489,239 +448,95 @@ int RunRealChaosSoak(int n, std::uint64_t base_seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ExperimentConfig cfg = ccsim::config::BaseConfig();
-  cfg.system.num_clients = 10;
+  ccsim::config::CommandLine cl;
+  ExperimentConfig& cfg = cl.config;
   cfg.control.warmup_seconds = 30;
   cfg.control.target_commits = 3000;
   cfg.control.max_measure_seconds = 600;
   bool csv = false;
+  bool list = false;
   int jobs = 0;  // 0 = DefaultJobs()
   int chaos_soak = 0;
   std::vector<int> sweep_clients;
-  std::string algorithm_name = "2pl";
   std::string substrate_name = "sim";
   bool warmup_flag = false;
   ccsim::runner::RealRunOptions real_options;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string value;
-    if (std::strcmp(arg, "--help") == 0) {
-      PrintUsage();
-      return 0;
-    }
-    if (std::strcmp(arg, "--list") == 0) {
-      for (const AlgorithmChoice& choice : kAlgorithms) {
-        std::printf("%s\n", choice.name);
-      }
-      return 0;
-    }
-    if (std::strcmp(arg, "--csv") == 0) {
-      csv = true;
-    } else if (ParseValue(arg, "--algorithm", &value)) {
-      algorithm_name = value;
-    } else if (ParseValue(arg, "--clients", &value)) {
-      cfg.system.num_clients = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--locality", &value)) {
-      cfg.transaction.inter_xact_loc = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--prob-write", &value)) {
-      cfg.transaction.prob_write = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--xact-size", &value)) {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--xact-size wants MIN:MAX\n");
-        return 2;
-      }
-      cfg.transaction.min_xact_size = std::atoi(value.substr(0, colon).c_str());
-      cfg.transaction.max_xact_size =
-          std::atoi(value.substr(colon + 1).c_str());
-    } else if (ParseValue(arg, "--object-size", &value)) {
-      cfg.database.object_size = {std::atoi(value.c_str())};
-    } else if (ParseValue(arg, "--cluster-factor", &value)) {
-      cfg.database.cluster_factor = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--update-delay", &value)) {
-      cfg.transaction.update_delay_s = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--internal-delay", &value)) {
-      cfg.transaction.internal_delay_s = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--external-delay", &value)) {
-      cfg.transaction.external_delay_s = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--server-mips", &value)) {
-      cfg.system.server_mips = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--client-mips", &value)) {
-      cfg.system.client_mips = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--net-delay-ms", &value)) {
-      cfg.system.net_delay_ms = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--msg-cost", &value)) {
-      cfg.system.msg_cost_instr = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--data-disks", &value)) {
-      cfg.system.num_data_disks = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--log-disks", &value)) {
-      cfg.system.num_log_disks = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--cache-pages", &value)) {
-      cfg.system.client_cache_pages = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--buffer-pages", &value)) {
-      cfg.system.server_buffer_pages = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--mpl", &value)) {
-      cfg.system.mpl = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--seed", &value)) {
-      cfg.control.seed = static_cast<std::uint64_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-    } else if (ParseValue(arg, "--warmup", &value)) {
-      cfg.control.warmup_seconds = std::atof(value.c_str());
-      warmup_flag = true;
-    } else if (ParseValue(arg, "--substrate", &value)) {
-      substrate_name = value;
-      if (substrate_name != "sim" && substrate_name != "real") {
-        std::fprintf(stderr, "--substrate wants sim or real\n");
-        return 2;
-      }
-    } else if (ParseValue(arg, "--duration", &value)) {
-      real_options.duration_seconds = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--shards", &value)) {
-      real_options.shards = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--commits", &value)) {
-      cfg.control.target_commits = static_cast<std::uint64_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-    } else if (ParseValue(arg, "--max-seconds", &value)) {
-      cfg.control.max_measure_seconds = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--drop", &value)) {
-      cfg.fault.drop_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--dup", &value)) {
-      cfg.fault.duplicate_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--spike", &value)) {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--spike wants P:MS\n");
-        return 2;
-      }
-      cfg.fault.delay_spike_probability =
-          std::atof(value.substr(0, colon).c_str());
-      cfg.fault.delay_spike_ms = std::atof(value.substr(colon + 1).c_str());
-    } else if (ParseValue(arg, "--crash", &value)) {
-      const std::size_t c1 = value.find(':');
-      const std::size_t c2 =
-          c1 == std::string::npos ? std::string::npos : value.find(':', c1 + 1);
-      if (c2 == std::string::npos) {
-        std::fprintf(stderr, "--crash wants NODE:AT:DOWN\n");
-        return 2;
-      }
-      ccsim::config::FaultParams::CrashEvent crash;
-      crash.node = std::atoi(value.substr(0, c1).c_str());
-      crash.at_s = std::atof(value.substr(c1 + 1, c2 - c1 - 1).c_str());
-      crash.downtime_s = std::atof(value.substr(c2 + 1).c_str());
-      cfg.fault.crashes.push_back(crash);
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--partition", &value)) {
-      const std::size_t c1 = value.find(':');
-      const std::size_t c2 =
-          c1 == std::string::npos ? std::string::npos : value.find(':', c1 + 1);
-      if (c2 == std::string::npos) {
-        std::fprintf(stderr, "--partition wants NODE:AT:DUR[:DIR][:hard]\n");
-        return 2;
-      }
-      const std::size_t c3 = value.find(':', c2 + 1);
-      ccsim::config::FaultParams::PartitionEvent part;
-      part.node = std::atoi(value.substr(0, c1).c_str());
-      part.at_s = std::atof(value.substr(c1 + 1, c2 - c1 - 1).c_str());
-      part.duration_s = std::atof(value.substr(c2 + 1, c3 - c2 - 1).c_str());
-      for (std::size_t pos = c3; pos != std::string::npos;) {
-        const std::size_t next = value.find(':', pos + 1);
-        const std::string token = value.substr(
-            pos + 1,
-            next == std::string::npos ? std::string::npos : next - pos - 1);
-        if (token == "both") {
-          part.direction = 0;
-        } else if (token == "in") {
-          part.direction = 1;
-        } else if (token == "out") {
-          part.direction = 2;
-        } else if (token == "hard") {
-          part.hard = true;
+  const ccsim::Status parsed = ccsim::config::ParseCommandLine(
+      ccsim::config::Tool::kSimRun, argc, argv,
+      [&](const char* arg, std::string* error) {
+        std::string value;
+        if (std::strcmp(arg, "--list") == 0) {
+          list = true;
+          return FlagResult::kStop;
+        }
+        if (std::strcmp(arg, "--csv") == 0) {
+          csv = true;
+        } else if (ParseValue(arg, "--warmup", &value)) {
+          cfg.control.warmup_seconds = std::atof(value.c_str());
+          warmup_flag = true;
+        } else if (ParseValue(arg, "--substrate", &value)) {
+          substrate_name = value;
+          if (substrate_name != "sim" && substrate_name != "real") {
+            *error = "--substrate wants sim or real";
+            return FlagResult::kError;
+          }
+        } else if (ParseValue(arg, "--duration", &value)) {
+          real_options.duration_seconds = std::atof(value.c_str());
+        } else if (ParseValue(arg, "--shards", &value)) {
+          real_options.shards = std::atoi(value.c_str());
+        } else if (ParseValue(arg, "--chaos-soak", &value)) {
+          chaos_soak = std::atoi(value.c_str());
+          if (chaos_soak < 1) {
+            *error = "--chaos-soak wants a positive seed count";
+            return FlagResult::kError;
+          }
+        } else if (ParseValue(arg, "--jobs", &value)) {
+          jobs = std::atoi(value.c_str());
+          if (jobs < 1) {
+            *error = "--jobs wants a positive integer";
+            return FlagResult::kError;
+          }
+        } else if (ParseValue(arg, "--sweep-clients", &value)) {
+          for (std::size_t pos = 0; pos < value.size();) {
+            const std::size_t comma = value.find(',', pos);
+            const std::string item = value.substr(
+                pos, comma == std::string::npos ? std::string::npos
+                                                : comma - pos);
+            const int clients = std::atoi(item.c_str());
+            if (clients < 1) {
+              *error = "--sweep-clients wants e.g. 2,10,30,50";
+              return FlagResult::kError;
+            }
+            sweep_clients.push_back(clients);
+            pos = comma == std::string::npos ? value.size() : comma + 1;
+          }
+          if (sweep_clients.empty()) {
+            *error = "--sweep-clients wants e.g. 2,10,30,50";
+            return FlagResult::kError;
+          }
         } else {
-          std::fprintf(stderr,
-                       "--partition DIR wants both|in|out (optionally "
-                       "followed by :hard)\n");
-          return 2;
+          return FlagResult::kNotMine;
         }
-        pos = next;
-      }
-      cfg.fault.partitions.push_back(part);
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--torn-write", &value)) {
-      cfg.fault.torn_write_probability = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--bit-flip", &value)) {
-      cfg.fault.bit_flip_probability = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--queue-limit", &value)) {
-      cfg.fault.server_queue_limit = std::atoi(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--retry-budget", &value)) {
-      cfg.fault.retry_budget = std::atoi(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--retry-jitter", &value)) {
-      cfg.fault.retry_jitter = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--chaos-soak", &value)) {
-      chaos_soak = std::atoi(value.c_str());
-      if (chaos_soak < 1) {
-        std::fprintf(stderr, "--chaos-soak wants a positive seed count\n");
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--recovery") == 0) {
-      cfg.fault.recovery_enabled = true;
-    } else if (std::strcmp(arg, "--check") == 0) {
-      cfg.checker.enabled = true;
-    } else if (ParseValue(arg, "--rpc-timeout-ms", &value)) {
-      cfg.fault.rpc_timeout_ms = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--lease-ms", &value)) {
-      cfg.fault.lease_ms = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--idle-timeout-ms", &value)) {
-      cfg.fault.xact_idle_timeout_ms = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--jobs", &value)) {
-      jobs = std::atoi(value.c_str());
-      if (jobs < 1) {
-        std::fprintf(stderr, "--jobs wants a positive integer\n");
-        return 2;
-      }
-    } else if (ParseValue(arg, "--sweep-clients", &value)) {
-      for (std::size_t pos = 0; pos < value.size();) {
-        const std::size_t comma = value.find(',', pos);
-        const std::string item =
-            value.substr(pos, comma == std::string::npos ? std::string::npos
-                                                         : comma - pos);
-        const int clients = std::atoi(item.c_str());
-        if (clients < 1) {
-          std::fprintf(stderr, "--sweep-clients wants e.g. 2,10,30,50\n");
-          return 2;
-        }
-        sweep_clients.push_back(clients);
-        pos = comma == std::string::npos ? value.size() : comma + 1;
-      }
-      if (sweep_clients.empty()) {
-        std::fprintf(stderr, "--sweep-clients wants e.g. 2,10,30,50\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg);
-      return 2;
-    }
-  }
-
-  bool found = false;
-  for (const AlgorithmChoice& choice : kAlgorithms) {
-    if (algorithm_name == choice.name) {
-      cfg.algorithm.algorithm = choice.algorithm;
-      cfg.algorithm.caching = choice.caching;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    std::fprintf(stderr, "unknown algorithm '%s' (see --list)\n",
-                 algorithm_name.c_str());
+        return FlagResult::kTaken;
+      },
+      &cl);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
     return 2;
   }
+  if (cl.help) {
+    PrintUsage();
+    return 0;
+  }
+  if (list) {
+    for (const ccsim::config::AlgorithmChoice& choice :
+         ccsim::config::Algorithms()) {
+      std::printf("%s\n", choice.name);
+    }
+    return 0;
+  }
+  const std::string& algorithm_name = cl.algorithm;
 
   const bool real_substrate = substrate_name == "real";
   if (real_substrate) {

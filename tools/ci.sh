@@ -15,6 +15,10 @@
 #      driven by ccload for each of the five protocols; a lost transaction,
 #      a conservation violation, zero commits, or an unclean server
 #      shutdown fails the leg,
+#   6b. a split-process server crash: ccserve --crash=2:0.3 (oracle on)
+#      severs every connection, replays its log and resumes, while a
+#      ccload started with only --recovery must redial and keep
+#      committing; a non-zero exit from either process fails the leg,
 #   7. a real-substrate chaos cocktail: each of the five protocols runs on
 #      threads + TCP with frame drop/duplicate/delay-spike, one hard
 #      partition, and one server crash + log-replay restart, oracle on; a
@@ -96,6 +100,24 @@ ctest -R "Determinism" --output-on-failure -j"$jobs"
 step "bounded chaos soak (3 fixed seeds x 5 protocols, oracle on)"
 "$build_dir"/tools/ccsim_run --chaos-soak=3 --seed=1 --jobs="$jobs" --check
 
+# Starts ccserve in the background on an ephemeral port with the given
+# flags and waits for its port file; sets serve_pid and port_file.
+start_ccserve() {
+  local name="$1"
+  shift
+  port_file="$build_dir/ccserve.$name.port"
+  rm -f "$port_file"
+  "$build_dir"/tools/ccserve --port=0 --port-file="$port_file" "$@" &
+  serve_pid=$!
+  for _ in $(seq 100); do
+    [[ -s "$port_file" ]] && return 0
+    sleep 0.1
+  done
+  echo "FAIL: ccserve ($name) never wrote its port"
+  kill "$serve_pid" 2>/dev/null || true
+  exit 1
+}
+
 step "ccserve/ccload loopback smoke (5 protocols x ${smoke_secs}s, oracle on)"
 # One fresh server per protocol: a poisoned server state from one run must
 # not be able to mask (or cause) a failure in the next. ccload exits
@@ -103,25 +125,31 @@ step "ccserve/ccload loopback smoke (5 protocols x ${smoke_secs}s, oracle on)"
 # violation; ccserve exits non-zero on an unclean shutdown; set -e
 # propagates both.
 for algo in 2pl cert callback no-wait no-wait-notify; do
-  port_file="$build_dir/ccserve.$algo.port"
-  rm -f "$port_file"
-  "$build_dir"/tools/ccserve --algorithm="$algo" --clients=8 --port=0 \
-      --port-file="$port_file" --check --duration=$((smoke_secs + 60)) &
-  serve_pid=$!
-  for _ in $(seq 100); do
-    [[ -s "$port_file" ]] && break
-    sleep 0.1
-  done
-  if [[ ! -s "$port_file" ]]; then
-    echo "FAIL: ccserve ($algo) never wrote its port"
-    kill "$serve_pid" 2>/dev/null || true
-    exit 1
-  fi
+  start_ccserve "$algo" --algorithm="$algo" --clients=8 --check \
+      --duration=$((smoke_secs + 60))
   "$build_dir"/tools/ccload --port-file="$port_file" --algorithm="$algo" \
       --clients=8 --duration="$smoke_secs" --warmup=1
   kill -TERM "$serve_pid" 2>/dev/null || true
   wait "$serve_pid"
 done
+
+step "split-process server crash (ccserve --crash + ccload --recovery, 2pl)"
+# The server's config alone carries the crash window; the load generator
+# runs the recovery layer without faults of its own, as two separately
+# started processes would. The server is stopped before a ccload failure
+# is reported, so no process outlives the leg.
+start_ccserve split-crash --algorithm=2pl --clients=8 --check \
+    --crash=2:0.3 --duration=$((smoke_secs + 60))
+load_status=0
+"$build_dir"/tools/ccload --port-file="$port_file" --algorithm=2pl \
+    --clients=8 --recovery --duration="$smoke_secs" --warmup=1 ||
+  load_status=$?
+kill -TERM "$serve_pid" 2>/dev/null || true
+wait "$serve_pid"
+if (( load_status != 0 )); then
+  echo "FAIL: ccload exited $load_status against a crashing ccserve"
+  exit 1
+fi
 
 step "real-substrate chaos cocktail (5 protocols, drop+dup+spike+hard-partition+crash)"
 # The wire-level fault plan from DESIGN.md §5c on real threads + TCP:

@@ -357,7 +357,7 @@ void CallbackServer::HandleRetainedRelease(
   }
 }
 
-sim::Process CallbackServer::Handle(net::MessagePtr msg) {
+sim::Task<void> CallbackServer::Handle(net::MessagePtr msg) {
   if (!msg->evicted_pages.empty() && msg->src != net::kServerNode) {
     HandleRetainedRelease(msg->src, msg->evicted_pages,
                           /*drop_directory=*/true);

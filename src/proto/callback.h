@@ -64,7 +64,7 @@ class CallbackServer : public ServerProtocol {
   CallbackServer(server::Server* server, bool retain_write_locks);
 
 
-  sim::Process Handle(net::MessagePtr msg) override;
+  sim::Task<void> Handle(net::MessagePtr msg) override;
   void OnCrash() override;
   void OnClientReset(int client) override;
 

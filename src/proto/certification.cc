@@ -128,7 +128,7 @@ sim::Task<void> CertificationClient::OnAttemptEnd(bool committed) {
   co_return;
 }
 
-sim::Process CertificationServer::Handle(net::MessagePtr msg) {
+sim::Task<void> CertificationServer::Handle(net::MessagePtr msg) {
   switch (msg->type) {
     case net::MsgType::kReadRequest:
       co_await HandleRead(*msg);

@@ -155,7 +155,7 @@ sim::Task<void> NoWaitClient::OnAttemptEnd(bool committed) {
 
 // --- server ---
 
-sim::Process NoWaitServer::Handle(net::MessagePtr msg) {
+sim::Task<void> NoWaitServer::Handle(net::MessagePtr msg) {
   switch (msg->type) {
     case net::MsgType::kNoWaitLock:
       co_await HandleNoWaitLock(*msg);
@@ -175,7 +175,11 @@ sim::Process NoWaitServer::Handle(net::MessagePtr msg) {
 }
 
 sim::Task<void> NoWaitServer::AbortWithNotice(server::XactState& state) {
-  if (state.aborted) {
+  // Past the commit point the transaction commits. With a lossy wire a
+  // delay-spiked lock request can arrive after its own commit request and
+  // fail (stale or deadlocked) while the commit is forcing the log;
+  // aborting then would finish the attempt twice.
+  if (state.aborted || state.committing) {
     co_return;
   }
   const std::vector<db::PageId> stale = state.stale_pages;

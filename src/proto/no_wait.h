@@ -45,7 +45,7 @@ class NoWaitServer : public ServerProtocol {
         notify_invalidate_(notify_invalidate),
         notify_broadcast_(notify_broadcast) {}
 
-  sim::Process Handle(net::MessagePtr msg) override;
+  sim::Task<void> Handle(net::MessagePtr msg) override;
 
  private:
   sim::Task<void> HandleNoWaitLock(const net::Message& msg);

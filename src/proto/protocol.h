@@ -71,11 +71,12 @@ class ServerProtocol {
   ServerProtocol(const ServerProtocol&) = delete;
   ServerProtocol& operator=(const ServerProtocol&) = delete;
 
-  /// Handles one dispatched message; spawned as its own process so handlers
-  /// for different messages interleave (and block independently on locks,
-  /// disks, and the CPU). The process owns the message until it finishes;
-  /// per-type handlers it awaits borrow it by reference.
-  virtual sim::Process Handle(net::MessagePtr msg) = 0;
+  /// Handles one dispatched message; the server runs each in its own
+  /// process so handlers for different messages interleave (and block
+  /// independently on locks, disks, and the CPU). The handler owns the
+  /// message until it finishes; per-type handlers it awaits borrow it by
+  /// reference.
+  virtual sim::Task<void> Handle(net::MessagePtr msg) = 0;
 
   /// Recovery mode: the server crashed; algorithm-private volatile state
   /// (outstanding callbacks, pending invalidations, ...) is gone.

@@ -129,7 +129,7 @@ sim::Task<bool> TwoPhaseClient::Commit(const workload::TransactionSpec& spec) {
   co_return true;
 }
 
-sim::Process TwoPhaseServer::Handle(net::MessagePtr msg) {
+sim::Task<void> TwoPhaseServer::Handle(net::MessagePtr msg) {
   switch (msg->type) {
     case net::MsgType::kReadRequest:
       co_await HandleRead(*msg);

@@ -41,7 +41,7 @@ class TwoPhaseServer : public ServerProtocol {
  public:
   explicit TwoPhaseServer(server::Server* server) : ServerProtocol(server) {}
 
-  sim::Process Handle(net::MessagePtr msg) override;
+  sim::Task<void> Handle(net::MessagePtr msg) override;
 
  private:
   sim::Task<void> HandleRead(const net::Message& msg);

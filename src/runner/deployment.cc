@@ -144,6 +144,13 @@ void ServerDeployment::Harvest(RunResult* result) {
   result->events_processed += events_;
   AddMetricCounters(node_.metrics(), result);
   HarvestServer(node_.server(), result);
+  const substrate::RealtimeSubstrate& loop = node_.substrate();
+  result->server_loop_busy = loop.loop_busy();
+  const std::uint64_t committed = node_.server().transactions_committed();
+  result->server_wakeups_per_commit =
+      committed > 0 ? static_cast<double>(loop.blocking_waits()) /
+                          static_cast<double>(committed)
+                    : 0.0;
   AddNetworkCounters(node_.network(), result);
   if (adapter_ != nullptr) {
     AddInjectorCounters(adapter_->injector(), result);
@@ -233,8 +240,12 @@ void ClientDeployment::Harvest(RunResult* result) const {
   LatencyHistogram histogram;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  double busy_sum = 0.0;
+  std::uint64_t waits = 0;
   for (const Shard& shard : shards_) {
     const Metrics& m = shard.node->metrics();
+    busy_sum += shard.node->substrate().loop_busy();
+    waits += shard.node->substrate().blocking_waits();
     result->events_processed += shard.events;
     AddMetricCounters(m, result);
     AddNetworkCounters(shard.node->network(), result);
@@ -261,7 +272,10 @@ void ClientDeployment::Harvest(RunResult* result) const {
       cache_misses += c->cache().misses();
     }
   }
+  result->client_loop_busy = busy_sum / static_cast<double>(shards_.size());
   if (commits > 0) {
+    result->client_wakeups_per_commit =
+        static_cast<double>(waits) / static_cast<double>(commits);
     result->mean_response_s = response_weighted / static_cast<double>(commits);
     result->mean_attempts_per_commit =
         attempts_weighted / static_cast<double>(commits);

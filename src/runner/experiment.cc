@@ -358,6 +358,7 @@ void HarvestServer(server::Server& server, RunResult* result) {
   result->final_lock_waiters = server.locks().waiter_count();
   result->final_locks_held = server.locks().held_count();
   result->final_active_xacts = server.active_transactions();
+  result->final_xact_states = server.live_xact_states();
   result->final_ready_queue = server.ready_queue_length();
 }
 

@@ -152,6 +152,20 @@ struct RunResult {
   std::uint64_t oracle_unknown_committed = 0;
   std::uint64_t oracle_unknown_aborted = 0;
 
+  // Real-substrate event loops (zero on the DES substrate). Wall-clock
+  // measurements: never part of the deterministic CSV.
+  /// Server loop thread CPU over wall time, over the server's lifetime.
+  double server_loop_busy = 0.0;
+  /// Server loop epoll waits that offered to block, per transaction the
+  /// server committed over its lifetime.
+  double server_wakeups_per_commit = 0.0;
+  /// Client shard loops' CPU over wall time in the measurement window,
+  /// averaged over shards.
+  double client_loop_busy = 0.0;
+  /// Shard loop epoll waits that offered to block, per commit in the
+  /// measurement window.
+  double client_wakeups_per_commit = 0.0;
+
   // End-of-run diagnostics (stall debugging / liveness checks).
   /// True if the event calendar drained before the measurement horizon and
   /// before the commit target: the whole system stopped making progress.
@@ -160,6 +174,10 @@ struct RunResult {
   std::size_t final_lock_waiters = 0;
   std::size_t final_locks_held = 0;
   int final_active_xacts = 0;
+  /// Transaction states the server still holds (active ones plus finished
+  /// ones a running handler refers to): bounded by MPL plus the handlers
+  /// in flight, never by the number of commits.
+  std::size_t final_xact_states = 0;
   std::size_t final_ready_queue = 0;
   /// Liveness watchdog: clients that ended the run with an RPC outstanding
   /// far longer than a full retransmission schedule can take — a stuck

@@ -175,14 +175,14 @@ bool Server::IsTransactional(net::MsgType type) {
   }
 }
 
-void Server::Admit(const net::Message& msg) {
+XactState* Server::Admit(const net::Message& msg) {
   auto state = std::make_unique<XactState>();
   state->uid = msg.xact;
   state->client = msg.src;
   state->async_resolved = std::make_unique<sim::Event>(simulator_);
   active_.insert(msg.xact);
   active_by_client_[msg.src] = msg.xact;
-  xacts_.emplace(msg.xact, std::move(state));
+  return xacts_.emplace(msg.xact, std::move(state)).first->second.get();
 }
 
 sim::Process Server::ReplyAbortedTo(net::MessagePtr request) {
@@ -278,7 +278,8 @@ sim::Process Server::Dispatch() {
         simulator_->Spawn(GcAbortXact(current));
       }
     }
-    if (IsTransactional(msg->type) && FindXact(msg->xact) == nullptr) {
+    XactState* state = FindXact(msg->xact);
+    if (IsTransactional(msg->type) && state == nullptr) {
       if (static_cast<int>(active_.size()) >= config_.system.mpl) {
         const int limit = config_.fault.server_queue_limit;
         if (limit > 0 && static_cast<int>(ready_.size()) >= limit) {
@@ -300,14 +301,35 @@ sim::Process Server::Dispatch() {
         }
         continue;
       }
-      Admit(*msg);
+      state = Admit(*msg);
     }
-    if (resilient_) {
-      if (XactState* state = FindXact(msg->xact)) {
-        state->last_activity = simulator_->Now();
-      }
+    if (resilient_ && state != nullptr) {
+      state->last_activity = simulator_->Now();
     }
-    simulator_->Spawn(protocol_->Handle(std::move(msg)));
+    simulator_->Spawn(RunHandler(std::move(msg), Pin(state)));
+  }
+}
+
+sim::Process Server::RunHandler(net::MessagePtr msg, XactState* state) {
+  co_await protocol_->Handle(std::move(msg));
+  if (state != nullptr) {
+    Unpin(*state);
+  }
+}
+
+XactState* Server::Pin(XactState* state) {
+  if (state != nullptr) {
+    ++state->pins;
+  }
+  return state;
+}
+
+void Server::Unpin(XactState& state) {
+  CCSIM_CHECK(state.pins > 0);
+  if (--state.pins == 0 && state.done) {
+    // Nothing refers to the finished attempt any more, and IsStale keeps
+    // every later message of it away from FindXact: retire it.
+    xacts_.erase(state.uid);
   }
 }
 
@@ -325,13 +347,13 @@ void Server::PumpReady() {
       }
       continue;
     }
-    if (FindXact(msg->xact) != nullptr) {
-      simulator_->Spawn(protocol_->Handle(std::move(msg)));
+    if (XactState* state = FindXact(msg->xact)) {
+      simulator_->Spawn(RunHandler(std::move(msg), Pin(state)));
       continue;
     }
     if (static_cast<int>(active_.size()) < config_.system.mpl) {
-      Admit(*msg);
-      simulator_->Spawn(protocol_->Handle(std::move(msg)));
+      XactState* state = Admit(*msg);
+      simulator_->Spawn(RunHandler(std::move(msg), Pin(state)));
       continue;
     }
     keep.push_back(std::move(msg));
@@ -443,6 +465,7 @@ sim::Task<void> Server::CommitTail(XactState& state) {
   state.committing = true;
   pool_->CommitTransaction(state.uid);
   co_await log_->ForceCommit(static_cast<int>(state.updated.size()));
+  ++committed_;
   MarkDone(state);
 }
 
@@ -466,6 +489,9 @@ sim::Task<void> Server::AbortPipeline(XactState& state) {
 
 void Server::MarkDone(XactState& state) {
   CCSIM_CHECK(!state.done);
+  // The caller (a handler or a GC abort) pins the state; the last unpin
+  // retires it.
+  CCSIM_DCHECK(state.pins > 0);
   state.done = true;
   active_.erase(state.uid);
   auto it = active_by_client_.find(state.client);
@@ -516,7 +542,9 @@ sim::Process Server::GcAbortXact(std::uint64_t uid) {
   }
   metrics_->RecordGcXact();
   const int client = state->client;
+  Pin(state);
   co_await AbortPipeline(*state);
+  Unpin(*state);
   net::MessagePtr notice = net::NewMessage();
   notice->type = net::MsgType::kAbortNotice;
   notice->dst = client;

@@ -60,6 +60,9 @@ struct XactState {
   /// The commit point was passed (versions about to be / being bumped);
   /// garbage collection must not abort the transaction any more.
   bool committing = false;
+  /// Coroutines (message handlers, GC aborts) currently holding this
+  /// state. A done state is retired when the last of them finishes.
+  int pins = 0;
 };
 
 /// The database server (paper §3.3.4): CPU(s), data and log disks, buffer
@@ -105,8 +108,13 @@ class Server {
   /// recovery mode a copy stays in the reply cache for retransmits.
   sim::Task<void> Reply(const net::Message& request, net::MessagePtr reply);
 
-  /// Looks up a transaction's state (nullptr if unknown).
+  /// Looks up a transaction's state (nullptr if unknown, or finished and
+  /// retired: a done state lives only while a handler still holds it).
   XactState* FindXact(std::uint64_t uid);
+
+  /// Transaction states the server holds: active ones plus finished ones
+  /// a running handler still refers to.
+  std::size_t live_xact_states() const { return xacts_.size(); }
 
   /// Uid of the client's transaction currently active at the server (0 if
   /// none). Used as the waits-for proxy for retained locks.
@@ -193,6 +201,8 @@ class Server {
   }
 
   int active_transactions() const { return static_cast<int>(active_.size()); }
+  /// Transactions committed over the server's lifetime.
+  std::uint64_t transactions_committed() const { return committed_; }
 
   /// Debug: snapshot of the active transactions.
   std::vector<const XactState*> ActiveXactStates() const {
@@ -224,12 +234,18 @@ class Server {
   };
 
   sim::Process Dispatch();
+  /// Runs the protocol's handler for `msg`, holding `state` (the message's
+  /// transaction, pinned by the caller; may be null) until it returns.
+  sim::Process RunHandler(net::MessagePtr msg, XactState* state);
+  static XactState* Pin(XactState* state);
+  /// Releases a pin; retires the state if it is done and unpinned.
+  void Unpin(XactState& state);
   sim::Process ReplyAbortedTo(net::MessagePtr request);
   void PumpReady();
   bool IsStale(const net::Message& msg) const;
   static bool IsSynchronous(net::MsgType type);
   static bool IsTransactional(net::MsgType type);
-  void Admit(const net::Message& msg);
+  XactState* Admit(const net::Message& msg);
   /// Recovery-mode admission filter: incarnation GC, request dedup/replay,
   /// async dedup. Returns false when the message must be dropped.
   bool FilterDelivery(const net::Message& msg);
@@ -268,6 +284,7 @@ class Server {
   std::unordered_map<int, std::uint64_t> last_finished_;
   std::deque<net::MessagePtr> ready_;
   std::size_t ready_high_water_ = 0;
+  std::uint64_t committed_ = 0;
 
   /// Reusable commit-point scratch for the checker / history feed (cleared
   /// per commit; capacity persists so the steady state allocates nothing).

@@ -1,179 +1,158 @@
 #include "substrate/realtime.h"
 
-#include <thread>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <sys/prctl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <ctime>
 #include <utility>
 
 #include "util/macros.h"
 
 namespace ccsim::substrate {
+namespace {
 
-// --- InboundChannel -------------------------------------------------------
+/// Epoll cookie of the wake eventfd (no watch id reaches it).
+constexpr std::uint64_t kWakeCookie = ~std::uint64_t{0};
+/// Ready descriptors taken per epoll_pwait2.
+constexpr int kMaxEvents = 64;
 
-net::Message* InboundChannel::BeginPush() {
-  for (int spins = 0;; ++spins) {
-    if (closed_.load(std::memory_order_acquire) || substrate_->stopping()) {
-      return nullptr;
-    }
-    if (net::Message* slot = ring_.TryReserve()) {
-      return slot;
-    }
-    // Ring full: the loop thread is behind. Yield first (on a single core
-    // the consumer needs the CPU to drain), then back off to short sleeps
-    // and make sure the loop is awake.
-    if (spins < 64) {
-      std::this_thread::yield();
-    } else {
-      substrate_->Kick();
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
+double ThreadCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-void InboundChannel::CommitPush() {
-  ring_.Publish();  // seq_cst, pairs with the loop's idle-flag protocol
-  if (substrate_->loop_idle_.load(std::memory_order_seq_cst)) {
-    substrate_->Kick();
-  }
+}  // namespace
+
+RealtimeSubstrate::RealtimeSubstrate(sim::Simulator* sim) : sim_(sim) {
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  CCSIM_CHECK_MSG(epoll_fd_ >= 0, "epoll_create1 failed (errno %d)", errno);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  CCSIM_CHECK_MSG(wake_fd_ >= 0, "eventfd failed (errno %d)", errno);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kWakeCookie;
+  CCSIM_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) == 0);
 }
 
-void InboundChannel::Close() {
-  closed_.store(true, std::memory_order_release);
-  // Wake the loop so it prunes us (and so a drain pass runs even if the
-  // close races a final publish).
-  substrate_->Kick();
+RealtimeSubstrate::~RealtimeSubstrate() {
+  ::close(wake_fd_);
+  ::close(epoll_fd_);
 }
 
-// --- RealtimeSubstrate ----------------------------------------------------
-
-std::shared_ptr<InboundChannel> RealtimeSubstrate::OpenChannel(
-    std::size_t capacity) {
-  std::shared_ptr<InboundChannel> ch(new InboundChannel(this, capacity));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    channels_.push_back(ch);
-    channels_version_.fetch_add(1, std::memory_order_release);
+int RealtimeSubstrate::Watch(int fd, std::uint32_t events,
+                             IoHandler* handler) {
+  int watch;
+  if (free_slots_.empty()) {
+    watch = static_cast<int>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    watch = free_slots_.back();
+    free_slots_.pop_back();
   }
-  cv_.notify_one();
-  return ch;
+  Slot& slot = slots_[static_cast<std::size_t>(watch)];
+  slot.handler = handler;
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = static_cast<std::uint64_t>(slot.generation) << 32 |
+                static_cast<std::uint32_t>(watch);
+  CCSIM_CHECK_MSG(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0,
+                  "epoll_ctl(ADD) failed (errno %d)", errno);
+  return watch;
+}
+
+void RealtimeSubstrate::Modify(int watch, int fd, std::uint32_t events) {
+  const Slot& slot = slots_[static_cast<std::size_t>(watch)];
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = static_cast<std::uint64_t>(slot.generation) << 32 |
+                static_cast<std::uint32_t>(watch);
+  CCSIM_CHECK_MSG(::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) == 0,
+                  "epoll_ctl(MOD) failed (errno %d)", errno);
+}
+
+void RealtimeSubstrate::Unwatch(int watch, int fd) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  Slot& slot = slots_[static_cast<std::size_t>(watch)];
+  slot.handler = nullptr;
+  ++slot.generation;
+  free_slots_.push_back(watch);
 }
 
 void RealtimeSubstrate::PostControl(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     control_.push_back(std::move(fn));
-    queued_.fetch_add(1, std::memory_order_release);
   }
-  cv_.notify_one();
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 void RealtimeSubstrate::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true, std::memory_order_release);
-  }
-  cv_.notify_one();
+  stop_.store(true, std::memory_order_release);
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
-void RealtimeSubstrate::Kick() {
-  // Take-and-drop the mutex so the wake cannot slip between the loop's
-  // final predicate check and its wait.
-  { std::lock_guard<std::mutex> lock(mu_); }
-  cv_.notify_one();
-}
-
-void RealtimeSubstrate::RefreshChannels() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::erase_if(channels_, [](const std::shared_ptr<InboundChannel>& ch) {
-    return ch->closed_.load(std::memory_order_acquire) &&
-           ch->ring_.ready() == 0;
-  });
-  active_ = channels_;
-  seen_version_ = channels_version_.load(std::memory_order_acquire);
-}
-
-bool RealtimeSubstrate::AnyChannelReady() const {
-  for (const std::shared_ptr<InboundChannel>& ch : active_) {
-    if (ch->ring_.ready() > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool RealtimeSubstrate::DrainChannels() {
-  if (channels_version_.load(std::memory_order_acquire) != seen_version_) {
-    RefreshChannels();
-  }
-  bool drained = false;
-  bool prune = false;
-  for (const std::shared_ptr<InboundChannel>& ch : active_) {
-    std::size_t n = ch->ring_.ready();
-    if (n > 0) {
-      CCSIM_CHECK_MSG(sink_ != nullptr, "message injected with no sink");
-      drained = true;
-      do {
-        sink_(std::move(ch->ring_.Front()));
-        ch->ring_.Pop();
-      } while (--n > 0);
-    }
-    if (ch->closed_.load(std::memory_order_acquire) &&
-        ch->ring_.ready() == 0) {
-      prune = true;
-    }
-  }
-  if (prune) {
-    RefreshChannels();
-  }
-  return drained;
-}
-
-void RealtimeSubstrate::DrainQueues() {
-  std::deque<std::function<void()>> thunks;
+void RealtimeSubstrate::DrainControl() {
+  std::uint64_t count = 0;
+  [[maybe_unused]] const ssize_t n = ::read(wake_fd_, &count, sizeof(count));
+  std::vector<std::function<void()>> thunks;
   {
     std::lock_guard<std::mutex> lock(mu_);
     thunks.swap(control_);
-    queued_.fetch_sub(thunks.size(), std::memory_order_release);
   }
   for (std::function<void()>& fn : thunks) {
     fn();
   }
 }
 
-void RealtimeSubstrate::SpinUntil(sim::Ticks wake) {
-  while (!stop_.load(std::memory_order_acquire) &&
-         queued_.load(std::memory_order_acquire) == 0 &&
-         !AnyChannelReady()) {
-    if (WallTicks() >= wake) {
-      return;
+void RealtimeSubstrate::PollIo(sim::Ticks timeout) {
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(timeout / sim::kTicksPerSecond);
+  ts.tv_nsec = static_cast<long>(timeout % sim::kTicksPerSecond) * 1000;
+  if (timeout > 0) {
+    ++blocking_waits_;
+  }
+  epoll_event events[kMaxEvents];
+  const int n = ::epoll_pwait2(epoll_fd_, events, kMaxEvents, &ts, nullptr);
+  CCSIM_CHECK_MSG(n >= 0 || errno == EINTR, "epoll_pwait2 failed (errno %d)",
+                  errno);
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t cookie = events[i].data.u64;
+    if (cookie == kWakeCookie) {
+      DrainControl();
+      continue;
     }
-    std::this_thread::yield();
+    const Slot& slot = slots_[cookie & 0xffffffffu];
+    if (slot.handler != nullptr && slot.generation == cookie >> 32) {
+      slot.handler->OnReady(events[i].events);
+    }
   }
 }
 
-void RealtimeSubstrate::SleepUntil(sim::Ticks wake) {
-  std::unique_lock<std::mutex> lock(mu_);
-  loop_idle_.store(true, std::memory_order_seq_cst);
-  cv_.wait_until(lock, epoch_ + std::chrono::microseconds(wake), [this] {
-    return stop_.load(std::memory_order_relaxed) ||
-           queued_.load(std::memory_order_relaxed) > 0 ||
-           channels_version_.load(std::memory_order_relaxed) !=
-               seen_version_ ||
-           AnyChannelReady();
-  });
-  loop_idle_.store(false, std::memory_order_seq_cst);
+void RealtimeSubstrate::ResetLoopStats() {
+  blocking_waits_ = 0;
+  cpu_base_ = ThreadCpuSeconds();
+  wall_base_ = std::chrono::steady_clock::now();
 }
 
 std::uint64_t RealtimeSubstrate::Run(sim::Ticks horizon) {
+  // Calendar waits are microsecond timeouts; the default 50 µs timer
+  // slack would fire them late, so the loop thread asks for none.
+  const int slack = ::prctl(PR_GET_TIMERSLACK);
+  ::prctl(PR_SET_TIMERSLACK, 1UL);
   epoch_ = std::chrono::steady_clock::now();
+  ResetLoopStats();
   std::uint64_t events = 0;
-  RefreshChannels();
+  sim::Ticks timeout = 0;  // the first pass only polls
   for (;;) {
-    DrainChannels();
-    if (queued_.load(std::memory_order_acquire) > 0) {
-      DrainQueues();
-    }
+    PollIo(timeout);
     if (stop_.load(std::memory_order_acquire)) {
-      stop_seen_.store(true, std::memory_order_release);
       break;
     }
     const sim::Ticks wall = WallTicks();
@@ -185,49 +164,45 @@ std::uint64_t RealtimeSubstrate::Run(sim::Ticks horizon) {
       events += sim_->Run(target);
       sim_->AdvanceTo(target);
       if (sim_->stop_requested()) {
-        stop_seen_.store(true, std::memory_order_release);
         break;
       }
     }
-    // Push this step's replies onto the wire before deciding to wait: the
-    // peers' next requests depend on them.
-    bool flushed = true;
-    if (flush_hook_) {
-      flushed = flush_hook_();
-    }
+    // Push this step's replies onto the wire before waiting: the peers'
+    // next requests depend on them.
+    const bool flushed = flush_hook_ ? flush_hook_() : true;
     if (wall >= horizon) {
       break;
     }
-    if (AnyChannelReady() || queued_.load(std::memory_order_acquire) > 0 ||
-        stop_.load(std::memory_order_acquire)) {
-      continue;
-    }
     // Wait until the next calendar entry is due (or the horizon), waking
-    // early for injections. An empty calendar waits on injections alone.
+    // early for ready descriptors. Each wait is capped so an effectively
+    // infinite horizon (a server waiting for work) never overflows the
+    // deadline arithmetic, and retries soon when outbound bytes are still
+    // stuck in a full socket buffer.
     const sim::Ticks next = sim_->PeekNextTime();
     sim::Ticks wake = horizon;
     if (next >= 0 && next < wake) {
       wake = next;
     }
-    // Cap each wait so an effectively-infinite horizon (a server waiting
-    // for work) never overflows the deadline arithmetic — and retry soon
-    // when outbound bytes are still stuck in a full socket buffer.
+    const sim::Ticks now = WallTicks();
     const sim::Ticks cap =
-        wall + (flushed ? sim::kTicksPerSecond : sim::Ticks{200});
+        now + (flushed ? sim::kTicksPerSecond : sim::Ticks{200});
     if (wake > cap) {
       wake = cap;
     }
-    if (wake - wall <= spin_threshold_) {
-      SpinUntil(wake);
-    } else {
-      SleepUntil(wake);
-    }
+    timeout = wake > now ? wake - now : 0;
   }
   // Final flush: hand buffered replies to the kernel so peers that are
   // still running see everything produced before the stop.
   if (flush_hook_) {
     flush_hook_();
   }
+  if (slack > 0) {
+    ::prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(slack));
+  }
+  loop_cpu_seconds_ = ThreadCpuSeconds() - cpu_base_;
+  loop_wall_seconds_ = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - wall_base_)
+                           .count();
   return events;
 }
 

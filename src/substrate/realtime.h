@@ -3,56 +3,24 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "net/message.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
-#include "util/spsc_ring.h"
 
 namespace ccsim::substrate {
 
-class RealtimeSubstrate;
-
-/// One producer's lane into the loop thread: a bounded SPSC ring of
-/// net::Message slots. A socket reader thread decodes frames directly
-/// into reserved slots (BeginPush/CommitPush) and the substrate loop
-/// drains whole batches between calendar steps — per-channel FIFO is
-/// exactly ring order, so per-connection delivery order is preserved.
-/// A full ring stalls the producer (backpressure propagates into TCP
-/// flow control); nothing is dropped.
-class InboundChannel {
+/// Owner of a file descriptor in a RealtimeSubstrate's epoll set.
+class IoHandler {
  public:
-  /// Producer: reserves the next slot, waiting (yield, then short sleeps)
-  /// while the ring is full. Returns nullptr once the channel is closed
-  /// or the substrate is stopping — the producer should bail out.
-  net::Message* BeginPush();
-
-  /// Producer: publishes the slot filled after BeginPush() and wakes the
-  /// loop thread if it is sleeping.
-  void CommitPush();
-
-  /// Marks the channel closed: BeginPush() fails from now on, and the
-  /// substrate retires the channel once the ring is drained. Callable
-  /// from any thread (producer on EOF, or the transport on Close()).
-  void Close();
-
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
- private:
-  friend class RealtimeSubstrate;
-  InboundChannel(RealtimeSubstrate* substrate, std::size_t capacity)
-      : ring_(capacity), substrate_(substrate) {}
-
-  util::SpscRing<net::Message> ring_;
-  RealtimeSubstrate* substrate_;
-  std::atomic<bool> closed_{false};
+  virtual ~IoHandler() = default;
+  /// Runs on the loop thread when the descriptor is ready; `events` is the
+  /// epoll mask (EPOLLIN, EPOLLOUT, EPOLLERR, EPOLLHUP, ...).
+  virtual void OnReady(std::uint32_t events) = 0;
 };
 
 /// Drives an (unmodified) sim::Simulator against the wall clock: one tick
@@ -62,50 +30,55 @@ class InboundChannel {
 /// every timer now elapses in real time, and messages arrive from real
 /// sockets instead of the simulated medium.
 ///
-/// Threading contract: the simulator and everything built on it (clients,
-/// server, protocol state) are touched ONLY by the thread inside Run().
-/// Other threads (socket readers, signal watchers) communicate exclusively
-/// through InboundChannels (messages) or PostControl()/Stop(); all of it
-/// is drained on the loop thread between calendar steps.
+/// The loop is a reactor: it owns one epoll set holding every socket of
+/// its node (listener, connections) plus an eventfd, and it is the only
+/// thread that reads or writes those sockets. Each pass waits in
+/// epoll_pwait2 with a microsecond timeout set to the next calendar time,
+/// dispatches ready descriptors to their IoHandlers (which decode inbound
+/// frames straight into pooled messages and Inject() them), fires every
+/// calendar event due by the wall clock, and runs the flush hook.
 ///
-/// Pacing: the loop spins (yielding, so single-core hosts still make
-/// progress) when the next calendar event is within spin_threshold ticks,
-/// and parks on a condition variable otherwise. Channel producers wake it
-/// through a Dekker-style idle flag, so no published message waits on the
-/// sleep granularity.
+/// Threading contract: the simulator and everything built on it (clients,
+/// server, protocol state), the handlers and the transports are touched
+/// ONLY by the thread inside Run() — or by one thread while no Run() is
+/// active. Other threads (signal watchers, tests) reach the loop only
+/// through PostControl() and Stop(), which wake it through the eventfd.
 class RealtimeSubstrate {
  public:
-  static constexpr std::size_t kDefaultChannelCapacity = 1024;
-  /// Next-event distances at or under this (µs) spin instead of sleeping.
-  static constexpr sim::Ticks kDefaultSpinThresholdTicks = 50;
-
-  explicit RealtimeSubstrate(sim::Simulator* sim) : sim_(sim) {}
+  explicit RealtimeSubstrate(sim::Simulator* sim);
+  ~RealtimeSubstrate();
   RealtimeSubstrate(const RealtimeSubstrate&) = delete;
   RealtimeSubstrate& operator=(const RealtimeSubstrate&) = delete;
 
   /// Routes injected messages into the model (typically a Mailbox::Push on
-  /// the destination's inbox). Runs on the loop thread. The argument is the
-  /// drained ring slot: the sink moves what it keeps.
-  void set_message_sink(std::function<void(net::Message&&)> sink) {
+  /// the destination's inbox). Runs on the loop thread.
+  void set_message_sink(std::function<void(net::MessagePtr)> sink) {
     sink_ = std::move(sink);
   }
 
   /// Invoked on the loop thread after each calendar step; a transport
   /// flushes its batched outbound buffers here. Returns true when every
   /// buffered byte reached the kernel — false keeps the loop on a short
-  /// retry cadence instead of a long sleep.
+  /// retry cadence instead of a long wait.
   void set_flush_hook(std::function<bool()> hook) {
     flush_hook_ = std::move(hook);
   }
 
-  void set_spin_threshold(sim::Ticks ticks) { spin_threshold_ = ticks; }
+  /// Loop thread: hands one decoded inbound message to the sink.
+  void Inject(net::MessagePtr msg) { sink_(std::move(msg)); }
 
-  /// Registers a new producer lane. Thread-safe; the loop picks it up on
-  /// its next drain pass and retires it after Close() once drained.
-  std::shared_ptr<InboundChannel> OpenChannel(
-      std::size_t capacity = kDefaultChannelCapacity);
+  /// Adds `fd` to the epoll set with interest `events` (level-triggered);
+  /// `handler` must outlive the watch. Returns the watch id Modify() and
+  /// Unwatch() take. Loop thread (or no Run() active).
+  int Watch(int fd, std::uint32_t events, IoHandler* handler);
+  /// Changes the interest set of a watched descriptor.
+  void Modify(int watch, int fd, std::uint32_t events);
+  /// Removes the descriptor; events already collected for it in the
+  /// current pass are discarded, so the handler may be destroyed as soon
+  /// as its own OnReady returns. Call before closing `fd`.
+  void Unwatch(int watch, int fd);
 
-  /// Wall-clock ticks since Run() started (0 before).
+  /// Wall-clock ticks since Run() started.
   sim::Ticks WallTicks() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(
                std::chrono::steady_clock::now() - epoch_)
@@ -115,67 +88,64 @@ class RealtimeSubstrate {
   /// Thread-safe: enqueues an arbitrary thunk to run on the loop thread.
   void PostControl(std::function<void()> fn);
 
-  /// Thread-safe: makes Run() return after the current calendar step.
+  /// Thread-safe: makes Run() return after the current pass.
   void Stop();
 
   /// Runs the event loop until `horizon` wall ticks elapse, Stop() is
   /// called, or the model requests a stop (sim::Simulator::RequestStop, as
   /// fired by the commit-target hook). Returns the number of calendar
   /// events processed. The simulated clock tracks the wall clock: between
-  /// calendar entries the loop spins or sleeps (interruptibly) until the
-  /// earlier of the next fire time and the next injection.
+  /// calendar entries the loop blocks in epoll until the earlier of the
+  /// next fire time and the next ready descriptor.
   std::uint64_t Run(sim::Ticks horizon);
-
-  /// True once Stop() was called or the model requested a stop.
-  bool stopped() const { return stop_seen_.load(std::memory_order_acquire); }
-
-  /// True once Stop() was called (readers poll this to bail out of a
-  /// full-ring wait while the loop is no longer draining).
-  bool stopping() const { return stop_.load(std::memory_order_acquire); }
 
   sim::Simulator& sim() { return *sim_; }
 
- private:
-  friend class InboundChannel;
+  /// Loop statistics of the last Run() (read after it returns), counted
+  /// from its start or from the last ResetLoopStats(): epoll waits that
+  /// offered to block (non-zero timeout), and the loop thread's CPU time
+  /// over wall time (0 before any Run()).
+  std::uint64_t blocking_waits() const { return blocking_waits_; }
+  double loop_busy() const {
+    return loop_wall_seconds_ > 0 ? loop_cpu_seconds_ / loop_wall_seconds_
+                                  : 0.0;
+  }
+  /// Restarts the loop statistics (loop thread; a measurement window
+  /// opening).
+  void ResetLoopStats();
 
-  /// Drains every ready slot from every registered channel into the sink.
-  /// Returns true if anything was delivered. Loop thread only.
-  bool DrainChannels();
+ private:
+  /// One epoll_pwait2 of at most `timeout` ticks, then dispatch.
+  void PollIo(sim::Ticks timeout);
   /// Drains the mutex-guarded PostControl queue.
-  void DrainQueues();
-  /// Re-snapshots `active_` from `channels_` and drops closed+drained
-  /// channels from the registry.
-  void RefreshChannels();
-  bool AnyChannelReady() const;
-  /// Yield-spins until `wake`, work, or stop. Single-core friendly: every
-  /// iteration yields so producer threads can run.
-  void SpinUntil(sim::Ticks wake);
-  /// Parks on the condition variable until `wake`, work, or stop.
-  void SleepUntil(sim::Ticks wake);
-  /// Wakes a sleeping loop. Called by producers after publishing.
-  void Kick();
+  void DrainControl();
+
+  struct Slot {
+    IoHandler* handler = nullptr;
+    std::uint32_t generation = 0;
+  };
 
   sim::Simulator* sim_;
-  std::function<void(net::Message&&)> sink_;
+  std::function<void(net::MessagePtr)> sink_;
   std::function<bool()> flush_hook_;
   std::chrono::steady_clock::time_point epoch_{};
-  sim::Ticks spin_threshold_ = kDefaultSpinThresholdTicks;
+
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd: PostControl / Stop
+  /// Watched descriptors by watch id; the epoll cookie carries the id and
+  /// its generation, so a stale event for a recycled id is ignored.
+  std::vector<Slot> slots_;
+  std::vector<int> free_slots_;
 
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> control_;
-  std::vector<std::shared_ptr<InboundChannel>> channels_;
-
-  /// Loop thread's private snapshot of `channels_`, refreshed when
-  /// `channels_version_` moves.
-  std::vector<std::shared_ptr<InboundChannel>> active_;
-  std::uint64_t seen_version_ = 0;
-
-  std::atomic<std::uint64_t> channels_version_{0};
-  std::atomic<std::size_t> queued_{0};  // control_ entries
-  std::atomic<bool> loop_idle_{false};
+  std::vector<std::function<void()>> control_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> stop_seen_{false};
+
+  std::uint64_t blocking_waits_ = 0;
+  double cpu_base_ = 0;
+  std::chrono::steady_clock::time_point wall_base_{};
+  double loop_cpu_seconds_ = 0;
+  double loop_wall_seconds_ = 0;
 };
 
 }  // namespace ccsim::substrate

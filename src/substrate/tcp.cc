@@ -4,9 +4,12 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <fcntl.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -14,7 +17,8 @@
 #include <thread>
 #include <utility>
 
-#include "util/macros.h"
+#include "sim/simulator.h"
+#include "sim/time.h"
 
 namespace ccsim::substrate {
 namespace {
@@ -99,72 +103,95 @@ bool HellosCompatible(const Hello& mine, const Hello& theirs,
   return true;
 }
 
-/// Reads and decodes the peer's Hello (the first frame on the wire).
-bool ReadHello(Connection* conn, Hello* hello, std::string* error) {
-  std::vector<std::uint8_t> body;
-  if (!conn->ReadFrame(&body)) {
+/// Blocking send of a whole buffer (Connect's handshake only).
+bool WriteAll(int fd, const std::uint8_t* data, std::size_t len) {
+  std::size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::send(fd, data + done, len - done, MSG_NOSIGNAL);
+    if (n > 0) {
+      done += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    return false;
+  }
+  return true;
+}
+
+/// Blocking read of the peer's Hello frame (Connect's handshake only).
+/// Reads exactly one frame, so nothing the peer sends after it is
+/// consumed here.
+bool ReadHello(int fd, Hello* hello, std::string* error) {
+  std::uint8_t prefix[4];
+  if (!ReadExact(fd, prefix, sizeof(prefix))) {
+    *error = "connection closed during handshake";
+    return false;
+  }
+  const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
+                            static_cast<std::uint32_t>(prefix[1]) << 8 |
+                            static_cast<std::uint32_t>(prefix[2]) << 16 |
+                            static_cast<std::uint32_t>(prefix[3]) << 24;
+  if (len > kMaxFrameBytes) {
+    *error = "oversized handshake frame";
+    return false;
+  }
+  std::vector<std::uint8_t> body(len);
+  if (len > 0 && !ReadExact(fd, body.data(), len)) {
     *error = "connection closed during handshake";
     return false;
   }
   return DecodeHello(body.data(), body.size(), hello, error);
 }
 
-/// The post-handshake reader: recv() a chunk, peel every complete frame
-/// out of it, and decode each one directly into an InboundChannel slot.
-/// One frame costs ~1/N of a syscall and zero allocations. Returns when
-/// the peer hangs up, the stream corrupts, or the channel closes.
-void BatchedReadLoop(Connection* conn, InboundChannel* channel,
-                     std::uint32_t page_payload_bytes,
-                     std::atomic<std::uint64_t>* frames_received,
-                     const char* who) {
-  FrameSplitter splitter;
-  std::string error;
-  for (;;) {
-    std::uint8_t* dst = splitter.WritableData(kReadChunk);
-    const ssize_t n = ::recv(conn->fd(), dst, splitter.writable_size(), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return;  // EOF, shutdown, or hard error
-    }
-    splitter.CommitBytes(static_cast<std::size_t>(n));
-    std::uint64_t batch = 0;
-    const std::uint8_t* body = nullptr;
-    std::uint32_t len = 0;
-    FrameSplitter::Next state;
-    while ((state = splitter.NextFrame(&body, &len)) ==
-           FrameSplitter::Next::kFrame) {
-      net::Message* slot = channel->BeginPush();
-      if (slot == nullptr) {
-        // Transport closing or substrate stopping: stop consuming.
-        if (batch > 0) {
-          frames_received->fetch_add(batch, std::memory_order_relaxed);
-        }
-        return;
-      }
-      if (!DecodeMessage(body, len, page_payload_bytes, slot,
-                               &error)) {
-        std::fprintf(stderr, "%s: dropping connection: %s\n", who,
-                     error.c_str());
-        if (batch > 0) {
-          frames_received->fetch_add(batch, std::memory_order_relaxed);
-        }
-        return;
-      }
-      channel->CommitPush();
-      ++batch;
-    }
-    if (batch > 0) {
-      frames_received->fetch_add(batch, std::memory_order_relaxed);
-    }
-    if (state == FrameSplitter::Next::kBad) {
-      std::fprintf(stderr, "%s: dropping connection: oversized frame\n",
-                   who);
-      return;
-    }
-  }
+void SetNonBlocking(int fd) {
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
 }
+
+/// Peels every complete frame off `conn`. While `awaiting_hello()` holds a
+/// frame is the peer's Hello and goes to `on_hello` (false rejects it);
+/// every other frame is decoded into a pooled message and injected into
+/// `loop`. Returns false when the connection must be dropped; `*frames`
+/// counts the messages injected.
+template <typename AwaitingHello, typename OnHello>
+bool DrainFrames(Connection* conn, RealtimeSubstrate* loop,
+                 std::uint32_t page_payload_bytes, const char* who,
+                 AwaitingHello awaiting_hello, OnHello on_hello,
+                 std::uint64_t* frames) {
+  const std::uint8_t* body = nullptr;
+  std::uint32_t len = 0;
+  std::string error;
+  FrameSplitter::Next state;
+  while ((state = conn->NextFrame(&body, &len)) ==
+         FrameSplitter::Next::kFrame) {
+    if (awaiting_hello()) {
+      if (!on_hello(body, len)) {
+        return false;
+      }
+      continue;
+    }
+    net::MessagePtr msg = net::NewMessage();
+    if (!DecodeMessage(body, len, page_payload_bytes, msg.get(), &error)) {
+      std::fprintf(stderr, "%s: dropping connection: %s\n", who,
+                   error.c_str());
+      return false;
+    }
+    ++*frames;
+    loop->Inject(std::move(msg));
+  }
+  if (state == FrameSplitter::Next::kBad) {
+    std::fprintf(stderr, "%s: dropping connection: oversized frame\n", who);
+    return false;
+  }
+  return true;
+}
+
+/// Handshake bound for a redial: a server that accepts but never answers
+/// must not park the connection forever.
+constexpr sim::Ticks kRedialHandshakeTicks = 2 * sim::kTicksPerSecond;
+constexpr int kFirstBackoffMs = 20;
+constexpr int kMaxBackoffMs = 200;
 
 }  // namespace
 
@@ -175,37 +202,13 @@ void ScopedFd::Reset() {
   }
 }
 
-void ScopedFd::ShutdownBoth() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-  }
-}
-
-bool Connection::WriteAll(const std::uint8_t* data, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n =
-        ::send(fd_.get(), data + done, len - done, MSG_NOSIGNAL);
-    if (n > 0) {
-      done += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    dead_.store(true, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
 bool Connection::QueueMessage(const net::Message& msg,
                               std::uint32_t page_payload_bytes) {
-  if (dead_.load(std::memory_order_relaxed)) {
+  if (dead_) {
     return false;
   }
   if (buffer_.pending_bytes() > kMaxBufferedBytes) {
-    dead_.store(true, std::memory_order_relaxed);
+    dead_ = true;
     buffer_.Clear();
     return false;
   }
@@ -214,69 +217,63 @@ bool Connection::QueueMessage(const net::Message& msg,
 }
 
 FrameBuffer::FlushResult Connection::Flush() {
-  if (dead_.load(std::memory_order_relaxed)) {
+  if (dead_) {
     buffer_.Clear();
     return FrameBuffer::FlushResult::kError;
   }
   const FrameBuffer::FlushResult result = buffer_.Flush(fd_.get());
   if (result == FrameBuffer::FlushResult::kError) {
-    dead_.store(true, std::memory_order_relaxed);
+    dead_ = true;
   }
   return result;
 }
 
+bool Connection::Receive() {
+  std::size_t budget = kReadBudget;
+  while (budget > 0) {
+    std::uint8_t* dst = splitter_.WritableData(kReadChunk);
+    const std::size_t want = std::min(splitter_.writable_size(), budget);
+    const ssize_t n = ::recv(fd_.get(), dst, want, 0);
+    if (n > 0) {
+      splitter_.CommitBytes(static_cast<std::size_t>(n));
+      budget -= static_cast<std::size_t>(n);
+      if (static_cast<std::size_t>(n) < want) {
+        return true;  // the kernel buffer is drained
+      }
+      continue;
+    }
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return true;
+    }
+    return false;  // EOF or hard error
+  }
+  return true;  // budget spent; the rest waits for the next pass
+}
+
 void Connection::Abort() {
-  dead_.store(true, std::memory_order_relaxed);
+  dead_ = true;
   // Discard the outbound batch even mid-frame: the peer's splitter is left
   // holding a partial frame, exactly the failure a yanked cable produces.
   buffer_.Clear();
   if (fd_.valid()) {
-    // Linger(0) turns the eventual close() into an RST; unread peer data
-    // also RSTs on many stacks. Either way the peer sees a hard failure,
-    // never a clean EOF that could be mistaken for an orderly goodbye.
+    // Linger(0) turns the close() into an RST; unread peer data also RSTs
+    // on many stacks. Either way the peer sees a hard failure, never a
+    // clean EOF that could be mistaken for an orderly goodbye.
     struct linger hard {};
     hard.l_onoff = 1;
     hard.l_linger = 0;
     ::setsockopt(fd_.get(), SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
   }
-  fd_.ShutdownBoth();
-}
-
-bool Connection::SendRaw(const std::vector<std::uint8_t>& bytes) {
-  if (dead_.load(std::memory_order_relaxed) ||
-      !WriteAll(bytes.data(), bytes.size())) {
-    return false;
-  }
-  hello_sent_.store(true, std::memory_order_release);
-  return true;
-}
-
-bool Connection::ReadFrame(std::vector<std::uint8_t>* body) {
-  std::uint8_t prefix[4];
-  if (!ReadExact(fd_.get(), prefix, sizeof(prefix))) {
-    return false;
-  }
-  const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
-                            static_cast<std::uint32_t>(prefix[1]) << 8 |
-                            static_cast<std::uint32_t>(prefix[2]) << 16 |
-                            static_cast<std::uint32_t>(prefix[3]) << 24;
-  if (len > kMaxFrameBytes) {
-    dead_.store(true, std::memory_order_relaxed);
-    return false;
-  }
-  body->resize(len);
-  return len == 0 || ReadExact(fd_.get(), body->data(), len);
 }
 
 // --- client ---------------------------------------------------------------
 
-std::unique_ptr<Connection> TcpClientTransport::DialAndHandshake(
+std::unique_ptr<TcpClientTransport> TcpClientTransport::Connect(
     const std::string& host, int port, const Hello& hello,
-    std::string* error, double handshake_timeout_s) {
-  ScopedFd fd = NewTcpSocket(error);
-  if (!fd.valid()) {
-    return nullptr;
-  }
+    RealtimeSubstrate* substrate, std::string* error) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -284,146 +281,188 @@ std::unique_ptr<Connection> TcpClientTransport::DialAndHandshake(
     *error = "cannot resolve host '" + host + "'";
     return nullptr;
   }
+  ScopedFd fd = NewTcpSocket(error);
+  if (!fd.valid()) {
+    return nullptr;
+  }
   if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
     *error = std::string("connect: ") + std::strerror(errno);
     return nullptr;
   }
-  if (handshake_timeout_s > 0) {
-    // Bound the handshake recv so a redial racing teardown cannot park the
-    // reader thread forever (Close() joins it).
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(handshake_timeout_s);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (handshake_timeout_s - static_cast<double>(tv.tv_sec)) * 1e6);
-    ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-  auto conn = std::make_unique<Connection>(std::move(fd));
   std::vector<std::uint8_t> frame;
   EncodeHello(hello, &frame);
-  if (!conn->SendRaw(frame)) {
+  Hello server_hello;
+  if (!WriteAll(fd.get(), frame.data(), frame.size())) {
     *error = "connection closed during handshake";
     return nullptr;
   }
-  Hello server_hello;
-  if (!ReadHello(conn.get(), &server_hello, error)) {
-    *error = error->empty() ? "connection closed during handshake" : *error;
+  if (!ReadHello(fd.get(), &server_hello, error) ||
+      !HellosCompatible(hello, server_hello, error)) {
     return nullptr;
   }
-  if (!HellosCompatible(hello, server_hello, error)) {
-    return nullptr;
-  }
-  if (handshake_timeout_s > 0) {
-    timeval tv{};  // back to blocking for the steady-state reader
-    ::setsockopt(conn->fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
+  SetNonBlocking(fd.get());
+  auto conn = std::make_unique<Connection>(std::move(fd));
   conn->set_peer(server_hello);
-  return conn;
-}
-
-std::unique_ptr<TcpClientTransport> TcpClientTransport::Connect(
-    const std::string& host, int port, const Hello& hello,
-    RealtimeSubstrate* substrate, std::string* error) {
-  std::unique_ptr<Connection> conn =
-      DialAndHandshake(host, port, hello, error);
-  if (conn == nullptr) {
-    return nullptr;
-  }
-  return std::unique_ptr<TcpClientTransport>(new TcpClientTransport(
-      std::move(conn), substrate, host, port, hello));
+  return std::unique_ptr<TcpClientTransport>(
+      new TcpClientTransport(std::move(conn), substrate, addr, hello));
 }
 
 TcpClientTransport::TcpClientTransport(std::unique_ptr<Connection> conn,
                                        RealtimeSubstrate* substrate,
-                                       const std::string& host, int port,
+                                       const sockaddr_in& server,
                                        const Hello& hello)
-    : conn_(std::move(conn)), substrate_(substrate),
-      channel_(substrate->OpenChannel()), host_(host), port_(port),
-      hello_(hello), page_payload_bytes_(hello.page_payload_bytes) {
-  reader_ = std::thread([this] { ReaderMain(); });
+    : conn_(std::move(conn)), substrate_(substrate), server_(server),
+      hello_(hello) {
+  watch_ = substrate_->Watch(conn_->fd(), EPOLLIN, this);
 }
 
 TcpClientTransport::~TcpClientTransport() { Close(); }
 
-void TcpClientTransport::ReaderMain() {
-  for (;;) {
-    Connection* conn;
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      conn = conn_.get();
+void TcpClientTransport::OnReady(std::uint32_t events) {
+  if (state_ == State::kConnecting) {
+    int err = 0;
+    socklen_t len = sizeof(err);
+    ::getsockopt(conn_->fd(), SOL_SOCKET, SO_ERROR, &err, &len);
+    if (err != 0 || (events & (EPOLLERR | EPOLLHUP)) != 0) {
+      DialFailed();
+      return;
     }
-    // Fresh FrameSplitter per connection: a mid-frame cut on the old
-    // connection cannot corrupt the new stream's framing.
-    BatchedReadLoop(conn, channel_.get(), page_payload_bytes_,
-                    &frames_received_, "ccload");
-    if (closing_.load(std::memory_order_acquire) ||
-        !reconnect_.load(std::memory_order_relaxed)) {
-      break;
+    // Connected: the Hello queued at the head of the batch goes out, then
+    // the server's Hello is awaited.
+    state_ = State::kAwaitingHello;
+    substrate_->Modify(watch_, conn_->fd(), EPOLLIN);
+    if (conn_->Flush() == FrameBuffer::FlushResult::kError) {
+      DialFailed();
     }
-    // Connection lost under an active fault plan: poison it so the loop
-    // thread counts queued messages as disconnected drops, then redial.
-    conn->MarkDead();
-    std::unique_ptr<Connection> fresh;
-    int backoff_ms = 20;
-    while (!closing_.load(std::memory_order_acquire)) {
-      std::string error;
-      fresh = DialAndHandshake(host_, port_, hello_, &error,
-                               /*handshake_timeout_s=*/2.0);
-      if (fresh != nullptr) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, 200);
-    }
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      // Swap and re-check closing_ under the lock: Close() sets closing_
-      // and shuts down conn_ under the same lock, so either it kills the
-      // connection we are about to read or we see the flag and stop.
-      if (closing_.load(std::memory_order_acquire) || fresh == nullptr) {
-        break;
-      }
-      conn_ = std::move(fresh);
-    }
-    reconnects_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
-  channel_->Close();
+  const bool open = conn_->Receive();
+  std::uint64_t frames = 0;
+  const bool ok = DrainFrames(
+      conn_.get(), substrate_, hello_.page_payload_bytes, "ccload",
+      [this] { return state_ == State::kAwaitingHello; },
+      [this](const std::uint8_t* body, std::uint32_t len) {
+        return AcceptServerHello(body, len);
+      },
+      &frames);
+  if (!ok || !open) {
+    if (state_ == State::kAwaitingHello) {
+      DialFailed();
+    } else {
+      ConnectionLost();
+    }
+  }
 }
 
-void TcpClientTransport::EnableReconnect() {
-  reconnect_.store(true, std::memory_order_relaxed);
+bool TcpClientTransport::AcceptServerHello(const std::uint8_t* body,
+                                           std::uint32_t len) {
+  Hello server_hello;
+  std::string error;
+  if (!DecodeHello(body, len, &server_hello, &error) ||
+      !HellosCompatible(hello_, server_hello, &error)) {
+    std::fprintf(stderr, "ccload: redial rejected: %s\n", error.c_str());
+    return false;
+  }
+  conn_->set_peer(server_hello);
+  state_ = State::kLive;
+  backoff_ms_ = 0;
+  ++reconnects_;
+  return true;
+}
+
+void TcpClientTransport::DropSocket() {
+  if (watch_ >= 0) {
+    substrate_->Unwatch(watch_, conn_->fd());
+    watch_ = -1;
+  }
+  conn_->MarkDead();
+  conn_->CloseSocket();
+}
+
+void TcpClientTransport::ConnectionLost() {
+  DropSocket();
+  state_ = State::kDown;
+  if (reconnect_ && !closing_) {
+    Redial();
+  }
+}
+
+void TcpClientTransport::Redial() {
+  std::string error;
+  ScopedFd fd = NewTcpSocket(&error);
+  if (!fd.valid()) {
+    DialFailed();
+    return;
+  }
+  SetNonBlocking(fd.get());
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&server_),
+                sizeof(server_)) != 0 &&
+      errno != EINPROGRESS) {
+    DialFailed();
+    return;
+  }
+  // A fresh Connection (fresh FrameSplitter): a frame cut on the old one
+  // cannot corrupt the new stream's framing.
+  conn_ = std::make_unique<Connection>(std::move(fd));
+  conn_->QueueHello(hello_);
+  state_ = State::kConnecting;
+  watch_ = substrate_->Watch(conn_->fd(), EPOLLOUT, this);
+  const std::uint64_t attempt = ++dial_attempt_;
+  substrate_->sim().ScheduleAt(
+      substrate_->WallTicks() + kRedialHandshakeTicks, [this, attempt] {
+        if (dial_attempt_ == attempt && state_ != State::kLive &&
+            state_ != State::kDown) {
+          DialFailed();
+        }
+      });
+}
+
+void TcpClientTransport::DialFailed() {
+  if (conn_->fd() >= 0) {
+    DropSocket();
+  }
+  state_ = State::kDown;
+  ++dial_attempt_;  // voids the pending handshake timeout
+  if (closing_) {
+    return;
+  }
+  backoff_ms_ = backoff_ms_ == 0 ? kFirstBackoffMs
+                                 : std::min(backoff_ms_ * 2, kMaxBackoffMs);
+  substrate_->sim().ScheduleAt(
+      substrate_->WallTicks() + sim::MillisToTicks(backoff_ms_),
+      [this] { Redial(); });
 }
 
 void TcpClientTransport::AbortConnection() {
-  std::lock_guard<std::mutex> lock(conn_mu_);
+  if (state_ != State::kLive) {
+    return;
+  }
   conn_->Abort();
+  ConnectionLost();
 }
 
 void TcpClientTransport::Deliver(const net::Message& msg) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  if (!conn_->QueueMessage(msg, page_payload_bytes_)) {
-    disconnected_drops_.fetch_add(1, std::memory_order_relaxed);
+  if (state_ != State::kLive ||
+      !conn_->QueueMessage(msg, hello_.page_payload_bytes)) {
+    ++disconnected_drops_;
   }
 }
 
 bool TcpClientTransport::Flush() {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  if (!conn_->has_pending()) {
+  if (state_ == State::kConnecting || state_ == State::kDown ||
+      !conn_->has_pending()) {
     return true;
   }
   return conn_->Flush() != FrameBuffer::FlushResult::kAgain;
 }
 
 void TcpClientTransport::Close() {
-  channel_->Close();  // unblock a reader stalled on a full ring
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    closing_.store(true, std::memory_order_release);
-    conn_->Shutdown();
+  closing_ = true;
+  if (conn_ != nullptr && conn_->fd() >= 0) {
+    DropSocket();
   }
-  if (reader_.joinable()) {
-    reader_.join();
-  }
+  state_ = State::kDown;
 }
 
 // --- server ---------------------------------------------------------------
@@ -461,6 +500,7 @@ std::unique_ptr<TcpServerTransport> TcpServerTransport::Listen(
     *error = std::string("getsockname: ") + std::strerror(errno);
     return nullptr;
   }
+  SetNonBlocking(fd.get());
   const int bound_port = ntohs(addr.sin_port);
   return std::unique_ptr<TcpServerTransport>(
       new TcpServerTransport(std::move(fd), bound_port, hello, substrate));
@@ -472,43 +512,60 @@ TcpServerTransport::TcpServerTransport(ScopedFd listen_fd, int port,
     : listen_fd_(std::move(listen_fd)), port_(port), hello_(hello),
       substrate_(substrate) {
   routes_.resize(hello_.num_clients > 0 ? hello_.num_clients : 0);
-  acceptor_ = std::thread([this] { AcceptLoop(); });
+  listen_watch_ = substrate_->Watch(listen_fd_.get(), EPOLLIN, this);
 }
 
 TcpServerTransport::~TcpServerTransport() { Close(); }
 
-void TcpServerTransport::AcceptLoop() {
+void TcpServerTransport::OnReady(std::uint32_t /*events*/) {
   for (;;) {
-    const int fd = ::accept(listen_fd_.get(), nullptr, nullptr);
+    const int fd = ::accept4(listen_fd_.get(), nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
-      if (errno == EINTR) {
+      if (errno == EINTR || errno == ECONNABORTED) {
         continue;
       }
-      return;  // listener shut down
+      return;  // EAGAIN: nothing more pending (or the listener failed)
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>(ScopedFd(fd));
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closing_) {
-      conn->Shutdown();
-      return;
-    }
-    conns_.push_back(conn);
-    // Handshake and framing run on the per-connection reader so a stalled
-    // peer cannot block further accepts.
-    readers_.emplace_back([this, conn] { ReadLoop(conn); });
+    Peer* peer =
+        peers_.emplace_back(std::make_unique<Peer>(this, ScopedFd(fd)))
+            .get();
+    peer->watch = substrate_->Watch(fd, EPOLLIN, peer);
   }
 }
 
-void TcpServerTransport::ReadLoop(std::shared_ptr<Connection> conn) {
+void TcpServerTransport::Peer::OnReady(std::uint32_t /*events*/) {
+  owner->OnPeerReady(this);
+}
+
+void TcpServerTransport::OnPeerReady(Peer* peer) {
+  const bool open = peer->conn.Receive();
+  std::uint64_t frames = 0;
+  const bool ok = DrainFrames(
+      &peer->conn, substrate_, hello_.page_payload_bytes, "ccserve",
+      [peer] { return !peer->greeted; },
+      [this, peer](const std::uint8_t* body, std::uint32_t len) {
+        return Greet(peer, body, len);
+      },
+      &frames);
+  if (frames > 0) {
+    frames_received_.fetch_add(frames, std::memory_order_relaxed);
+  }
+  if (!ok || !open) {
+    ClosePeer(peer);
+  }
+}
+
+bool TcpServerTransport::Greet(Peer* peer, const std::uint8_t* body,
+                               std::uint32_t len) {
   Hello client_hello;
   std::string error;
-  if (!ReadHello(conn.get(), &client_hello, &error) ||
+  if (!DecodeHello(body, len, &client_hello, &error) ||
       !HellosCompatible(hello_, client_hello, &error)) {
     std::fprintf(stderr, "ccserve: rejected connection: %s\n", error.c_str());
-    conn->Shutdown();
-    return;
+    return false;
   }
   if (client_hello.client_lo < 0 ||
       client_hello.client_hi <= client_hello.client_lo ||
@@ -518,118 +575,106 @@ void TcpServerTransport::ReadLoop(std::shared_ptr<Connection> conn) {
                  "outside the configured 0..%d\n",
                  client_hello.client_lo, client_hello.client_hi,
                  hello_.num_clients);
-    conn->Shutdown();
-    return;
+    return false;
   }
-  conn->set_peer(client_hello);
-  // Publish the routes before the Hello reply: once the client's Connect()
-  // returns (it has read the reply), the server must be able to route to
-  // it. The loop thread may queue frames for this connection from here on,
-  // but Flush() leaves them buffered until hello_sent(), so the reply is
-  // still the first frame on the wire and this thread is its only writer.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int id = client_hello.client_lo; id < client_hello.client_hi;
-         ++id) {
-      if (routes_[id] != nullptr && !routes_[id]->dead()) {
-        std::fprintf(stderr,
-                     "ccserve: rejected connection: client id %d already "
-                     "connected\n",
-                     id);
-        conn->Shutdown();
-        return;
-      }
-    }
-    for (int id = client_hello.client_lo; id < client_hello.client_hi;
-         ++id) {
-      routes_[id] = conn;
+  for (int id = client_hello.client_lo; id < client_hello.client_hi; ++id) {
+    if (routes_[id] != nullptr && !routes_[id]->conn.dead()) {
+      std::fprintf(stderr,
+                   "ccserve: rejected connection: client id %d already "
+                   "connected\n",
+                   id);
+      return false;
     }
   }
-  std::vector<std::uint8_t> frame;
-  EncodeHello(hello_, &frame);
-  if (!conn->SendRaw(frame)) {  // a failed send marks the conn dead
-    Unroute(conn, client_hello);
-    return;
+  // Publish the routes, then queue the Hello reply at the head of the
+  // batch: once the client's Connect() returns (it has read the reply) the
+  // server can route to it, and anything routed to it follows the reply.
+  peer->conn.set_peer(client_hello);
+  peer->greeted = true;
+  for (int id = client_hello.client_lo; id < client_hello.client_hi; ++id) {
+    routes_[id] = peer;
+  }
+  peer->conn.QueueHello(hello_);
+  if (peer->conn.Flush() == FrameBuffer::FlushResult::kAgain) {
+    dirty_.push_back(peer);  // nothing was queued before the reply
+  }
+  if (peer->conn.dead()) {
+    return false;
   }
   connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<InboundChannel> channel = substrate_->OpenChannel();
-  BatchedReadLoop(conn.get(), channel.get(), hello_.page_payload_bytes,
-                  &frames_received_, "ccserve");
-  channel->Close();
-  conn->Shutdown();
-  Unroute(conn, client_hello);
+  return true;
 }
 
-void TcpServerTransport::Unroute(const std::shared_ptr<Connection>& conn,
-                                 const Hello& peer) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (int id = peer.client_lo; id < peer.client_hi; ++id) {
-    if (routes_[id] == conn) {
-      routes_[id].reset();
+void TcpServerTransport::ClosePeer(Peer* peer) {
+  if (peer->closed) {
+    return;
+  }
+  peer->closed = true;
+  sweep_ = true;
+  peer->conn.MarkDead();
+  if (peer->greeted) {
+    const Hello& h = peer->conn.peer();
+    for (int id = h.client_lo; id < h.client_hi; ++id) {
+      if (routes_[id] == peer) {
+        routes_[id] = nullptr;
+      }
     }
   }
+  substrate_->Unwatch(peer->watch, peer->conn.fd());
+  peer->conn.CloseSocket();
 }
 
 void TcpServerTransport::Deliver(const net::Message& msg) {
-  std::shared_ptr<Connection> conn;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (msg.dst >= 0 &&
-        msg.dst < static_cast<int>(routes_.size())) {
-      conn = routes_[msg.dst];
-    }
-  }
-  const bool was_pending = conn != nullptr && conn->has_pending();
-  if (conn == nullptr ||
-      !conn->QueueMessage(msg, hello_.page_payload_bytes)) {
+  Peer* peer = msg.dst >= 0 && msg.dst < static_cast<int>(routes_.size())
+                   ? routes_[msg.dst]
+                   : nullptr;
+  const bool was_pending = peer != nullptr && peer->conn.has_pending();
+  if (peer == nullptr ||
+      !peer->conn.QueueMessage(msg, hello_.page_payload_bytes)) {
     // The destination hung up (a finished or killed load run): the message
     // dies like mail to a crashed workstation.
     unroutable_drops_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   if (!was_pending) {
-    dirty_.push_back(std::move(conn));
+    dirty_.push_back(peer);
   }
 }
 
 bool TcpServerTransport::Flush() {
-  if (dirty_.empty()) {
-    return true;
-  }
   std::size_t keep = 0;
   for (std::size_t i = 0; i < dirty_.size(); ++i) {
-    // A connection whose Hello reply is still being written keeps its
-    // frames queued (a dead one still flushes, which discards them).
-    const bool handshaking =
-        !dirty_[i]->dead() && !dirty_[i]->hello_sent();
-    if (handshaking ||
-        dirty_[i]->Flush() == FrameBuffer::FlushResult::kAgain) {
-      dirty_[keep++] = std::move(dirty_[i]);
+    // A dead connection still flushes, which discards its batch.
+    if (dirty_[i]->conn.Flush() == FrameBuffer::FlushResult::kAgain) {
+      dirty_[keep++] = dirty_[i];
     }
   }
   dirty_.resize(keep);
+  if (sweep_) {
+    // Closed peers are dead, so none is left in dirty_ after the pass.
+    std::erase_if(peers_, [](const std::unique_ptr<Peer>& peer) {
+      return peer->closed;
+    });
+    sweep_ = false;
+  }
   return dirty_.empty();
 }
 
 void TcpServerTransport::SeverAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& conn : conns_) {
-    if (!conn->dead()) {
-      conn->Abort();
+  for (const std::unique_ptr<Peer>& peer : peers_) {
+    if (!peer->closed) {
+      peer->conn.Abort();
+      ClosePeer(peer.get());
     }
   }
 }
 
 void TcpServerTransport::SeverClient(int id) {
-  std::shared_ptr<Connection> conn;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (id >= 0 && id < static_cast<int>(routes_.size())) {
-      conn = routes_[id];
-    }
-  }
-  if (conn != nullptr) {
-    conn->Abort();
+  if (id >= 0 && id < static_cast<int>(routes_.size()) &&
+      routes_[id] != nullptr) {
+    Peer* peer = routes_[id];
+    peer->conn.Abort();
+    ClosePeer(peer);
   }
 }
 
@@ -643,8 +688,9 @@ bool TcpServerTransport::DrainOrPoison(double seconds) {
       // The peers still attached here have not drained within the grace
       // period: poison them so they observe a failed connection, never a
       // silently truncated stream passed off as success.
-      for (auto& conn : dirty_) {
-        conn->Abort();
+      for (Peer* peer : dirty_) {
+        peer->conn.Abort();
+        ClosePeer(peer);
       }
       dirty_.clear();
       return false;
@@ -655,37 +701,16 @@ bool TcpServerTransport::DrainOrPoison(double seconds) {
 }
 
 void TcpServerTransport::Close() {
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closing_) {
-      return;
-    }
-    closing_ = true;
-    readers.swap(readers_);
+  if (listen_watch_ >= 0) {
+    substrate_->Unwatch(listen_watch_, listen_fd_.get());
+    listen_watch_ = -1;
   }
-  listen_fd_.ShutdownBoth();
-  if (acceptor_.joinable()) {
-    acceptor_.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& conn : conns_) {
-      conn->Shutdown();
-    }
-    // A reader that raced past the closing_ check parked its thread in
-    // readers_ after the swap above; collect any stragglers.
-    for (auto& t : readers_) {
-      readers.push_back(std::move(t));
-    }
-    readers_.clear();
-  }
-  for (std::thread& t : readers) {
-    if (t.joinable()) {
-      t.join();
-    }
+  listen_fd_.Reset();
+  for (const std::unique_ptr<Peer>& peer : peers_) {
+    ClosePeer(peer.get());
   }
   dirty_.clear();
+  peers_.clear();
 }
 
 }  // namespace ccsim::substrate

@@ -3,8 +3,12 @@
 #include <sys/socket.h>
 #include <sys/uio.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
+#include <type_traits>
+
+#include "util/macros.h"
 
 namespace ccsim::substrate {
 namespace {
@@ -13,42 +17,60 @@ namespace {
 constexpr std::size_t kZeroChunk = 64 * 1024;
 const std::uint8_t kZeroes[kZeroChunk] = {};
 
-void PutU8(std::uint8_t v, std::vector<std::uint8_t>* out) {
-  out->push_back(v);
-}
+/// Bytes of a Hello frame, length prefix included.
+constexpr std::size_t kHelloFrameBytes = 4 + 4 + 4 + 1 + 1 + 4 + 4 + 8 + 4 + 4;
+/// Bytes of a Message frame's fixed part: length prefix, header, and the
+/// ten list counts.
+constexpr std::size_t kMessageFixedBytes =
+    4 + 1 + 4 + 4 + 8 + 8 + 8 + 4 + 1 + 1 + 10 * 4;
 
-void PutU32(std::uint32_t v, std::vector<std::uint8_t>* out) {
-  out->push_back(static_cast<std::uint8_t>(v));
-  out->push_back(static_cast<std::uint8_t>(v >> 8));
-  out->push_back(static_cast<std::uint8_t>(v >> 16));
-  out->push_back(static_cast<std::uint8_t>(v >> 24));
-}
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
 
-void PutU64(std::uint64_t v, std::vector<std::uint8_t>* out) {
-  PutU32(static_cast<std::uint32_t>(v), out);
-  PutU32(static_cast<std::uint32_t>(v >> 32), out);
-}
-
-void PutI32(std::int32_t v, std::vector<std::uint8_t>* out) {
-  PutU32(static_cast<std::uint32_t>(v), out);
-}
-
-void PutI64(std::int64_t v, std::vector<std::uint8_t>* out) {
-  PutU64(static_cast<std::uint64_t>(v), out);
-}
-
-void PutPages(const net::PageList& pages, std::vector<std::uint8_t>* out) {
-  PutU32(static_cast<std::uint32_t>(pages.size()), out);
-  for (db::PageId page : pages) {
-    PutI32(page, out);
+/// Stores `v` little-endian at `p`; returns the byte after it.
+template <typename T>
+std::uint8_t* Put(std::uint8_t* p, T v) {
+  if constexpr (kLittleEndian) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    const auto raw = static_cast<std::make_unsigned_t<T>>(v);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::uint8_t>(raw >> (8 * i));
+    }
   }
+  return p + sizeof(T);
 }
 
-void PutVersions(const net::VersionList& versions,
-                 std::vector<std::uint8_t>* out) {
-  PutU32(static_cast<std::uint32_t>(versions.size()), out);
-  for (std::uint64_t v : versions) {
-    PutU64(v, out);
+/// Loads a little-endian `T` from `p`.
+template <typename T>
+T Get(const std::uint8_t* p) {
+  T v;
+  if constexpr (kLittleEndian) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    std::make_unsigned_t<T> raw = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      raw |= static_cast<std::make_unsigned_t<T>>(p[i]) << (8 * i);
+    }
+    v = static_cast<T>(raw);
+  }
+  return v;
+}
+
+/// A u32 count followed by the fixed-width elements of `list`.
+template <typename List>
+std::uint8_t* PutList(std::uint8_t* p, const List& list) {
+  using T = std::remove_cvref_t<decltype(*list.data())>;
+  p = Put(p, static_cast<std::uint32_t>(list.size()));
+  if constexpr (kLittleEndian) {
+    if (!list.empty()) {
+      std::memcpy(p, list.data(), list.size() * sizeof(T));
+    }
+    return p + list.size() * sizeof(T);
+  } else {
+    for (T v : list) {
+      p = Put(p, v);
+    }
+    return p;
   }
 }
 
@@ -58,78 +80,36 @@ class Reader {
   Reader(const std::uint8_t* data, std::size_t len)
       : data_(data), len_(len) {}
 
-  bool U8(std::uint8_t* v) {
-    if (pos_ + 1 > len_) {
+  template <typename T>
+  bool Read(T* v) {
+    if (pos_ + sizeof(T) > len_) {
       return false;
     }
-    *v = data_[pos_++];
+    *v = Get<T>(data_ + pos_);
+    pos_ += sizeof(T);
     return true;
   }
 
-  bool U32(std::uint32_t* v) {
-    if (pos_ + 4 > len_) {
-      return false;
-    }
-    *v = static_cast<std::uint32_t>(data_[pos_]) |
-         static_cast<std::uint32_t>(data_[pos_ + 1]) << 8 |
-         static_cast<std::uint32_t>(data_[pos_ + 2]) << 16 |
-         static_cast<std::uint32_t>(data_[pos_ + 3]) << 24;
-    pos_ += 4;
-    return true;
-  }
-
-  bool U64(std::uint64_t* v) {
-    std::uint32_t lo = 0, hi = 0;
-    if (!U32(&lo) || !U32(&hi)) {
-      return false;
-    }
-    *v = static_cast<std::uint64_t>(lo) | static_cast<std::uint64_t>(hi) << 32;
-    return true;
-  }
-
-  bool I32(std::int32_t* v) {
-    std::uint32_t raw = 0;
-    if (!U32(&raw)) {
-      return false;
-    }
-    *v = static_cast<std::int32_t>(raw);
-    return true;
-  }
-
-  bool I64(std::int64_t* v) {
-    std::uint64_t raw = 0;
-    if (!U64(&raw)) {
-      return false;
-    }
-    *v = static_cast<std::int64_t>(raw);
-    return true;
-  }
-
-  bool Pages(net::PageList* pages) {
+  /// A u32 count, then that many fixed-width elements: one resize, one
+  /// fill.
+  template <typename List>
+  bool ReadList(List* list) {
+    using T = std::remove_cvref_t<decltype(*list->data())>;
     std::uint32_t count = 0;
-    if (!U32(&count) || pos_ + std::size_t{count} * 4 > len_) {
+    if (!Read(&count) || pos_ + std::size_t{count} * sizeof(T) > len_) {
       return false;
     }
-    pages->clear();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::int32_t page = 0;
-      I32(&page);
-      pages->push_back(page);
+    list->resize(count);
+    if constexpr (kLittleEndian) {
+      if (count > 0) {
+        std::memcpy(list->data(), data_ + pos_, std::size_t{count} * sizeof(T));
+      }
+    } else {
+      for (std::uint32_t i = 0; i < count; ++i) {
+        (*list)[i] = Get<T>(data_ + pos_ + std::size_t{i} * sizeof(T));
+      }
     }
-    return true;
-  }
-
-  bool Versions(net::VersionList* versions) {
-    std::uint32_t count = 0;
-    if (!U32(&count) || pos_ + std::size_t{count} * 8 > len_) {
-      return false;
-    }
-    versions->clear();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint64_t v = 0;
-      U64(&v);
-      versions->push_back(v);
-    }
+    pos_ += std::size_t{count} * sizeof(T);
     return true;
   }
 
@@ -149,111 +129,100 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// Patches the u32 length prefix reserved at `length_at` once the body is
-/// fully appended.
-void FinishFrame(std::size_t length_at, std::vector<std::uint8_t>* out) {
-  const std::uint32_t body =
-      static_cast<std::uint32_t>(out->size() - length_at - 4);
-  (*out)[length_at] = static_cast<std::uint8_t>(body);
-  (*out)[length_at + 1] = static_cast<std::uint8_t>(body >> 8);
-  (*out)[length_at + 2] = static_cast<std::uint8_t>(body >> 16);
-  (*out)[length_at + 3] = static_cast<std::uint8_t>(body >> 24);
+/// Grows `out` by `n` bytes and returns a pointer to the new tail.
+std::uint8_t* Extend(std::vector<std::uint8_t>* out, std::size_t n) {
+  const std::size_t at = out->size();
+  out->resize(at + n);
+  return out->data() + at;
+}
+
+/// Appends the length prefix and every control field of `msg` — header
+/// plus lists, everything but the page-image payload — sizing the frame
+/// once. The prefix covers the control bytes plus `payload` bytes of page
+/// image that follow separately.
+void EncodeMessageControl(const net::Message& msg, std::size_t payload,
+                          std::vector<std::uint8_t>* out) {
+  const std::size_t control =
+      kMessageFixedBytes +
+      sizeof(db::PageId) *
+          (msg.pages.size() + msg.data_pages.size() +
+           msg.fetch_pages.size() + msg.read_set.size() +
+           msg.updated_set.size() + msg.released_pages.size() +
+           msg.evicted_pages.size()) +
+      sizeof(std::uint64_t) * (msg.versions.size() +
+                               msg.data_versions.size() +
+                               msg.read_versions.size());
+  std::uint8_t* p = Extend(out, control);
+  p = Put(p, static_cast<std::uint32_t>(control - 4 + payload));
+  p = Put(p, static_cast<std::uint8_t>(msg.type));
+  p = Put(p, static_cast<std::int32_t>(msg.src));
+  p = Put(p, static_cast<std::int32_t>(msg.dst));
+  p = Put(p, msg.xact);
+  p = Put(p, msg.request_id);
+  p = Put(p, msg.seq);
+  p = Put(p, msg.incarnation);
+  p = Put(p, static_cast<std::uint8_t>(msg.mode));
+  p = Put(p, static_cast<std::uint8_t>((msg.aborted ? 1 : 0) |
+                                       (msg.invalidate ? 2 : 0)));
+  p = PutList(p, msg.pages);
+  p = PutList(p, msg.versions);
+  p = PutList(p, msg.data_pages);
+  p = PutList(p, msg.data_versions);
+  p = PutList(p, msg.fetch_pages);
+  p = PutList(p, msg.read_set);
+  p = PutList(p, msg.read_versions);
+  p = PutList(p, msg.updated_set);
+  p = PutList(p, msg.released_pages);
+  p = PutList(p, msg.evicted_pages);
+  CCSIM_DCHECK(p == out->data() + out->size());
 }
 
 }  // namespace
 
 void EncodeHello(const Hello& hello, std::vector<std::uint8_t>* out) {
-  const std::size_t length_at = out->size();
-  PutU32(0, out);  // patched below
-  PutU32(kWireMagic, out);
-  PutU32(hello.version, out);
-  PutU8(hello.algorithm, out);
-  PutU8(hello.caching, out);
-  PutI32(hello.client_lo, out);
-  PutI32(hello.client_hi, out);
-  PutI64(hello.total_pages, out);
-  PutI32(hello.num_clients, out);
-  PutU32(hello.page_payload_bytes, out);
-  FinishFrame(length_at, out);
+  std::uint8_t* p = Extend(out, kHelloFrameBytes);
+  p = Put(p, static_cast<std::uint32_t>(kHelloFrameBytes - 4));
+  p = Put(p, kWireMagic);
+  p = Put(p, hello.version);
+  p = Put(p, hello.algorithm);
+  p = Put(p, hello.caching);
+  p = Put(p, hello.client_lo);
+  p = Put(p, hello.client_hi);
+  p = Put(p, hello.total_pages);
+  p = Put(p, hello.num_clients);
+  Put(p, hello.page_payload_bytes);
 }
 
 bool DecodeHello(const std::uint8_t* body, std::size_t len, Hello* out,
                  std::string* error) {
   Reader r(body, len);
   std::uint32_t magic = 0;
-  if (!r.U32(&magic) || magic != kWireMagic) {
+  if (!r.Read(&magic) || magic != kWireMagic) {
     *error = "bad magic (not a ccsim wire peer)";
     return false;
   }
-  if (!r.U32(&out->version) || out->version != kWireVersion) {
+  if (!r.Read(&out->version) || out->version != kWireVersion) {
     *error = "wire version mismatch";
     return false;
   }
-  if (!r.U8(&out->algorithm) || !r.U8(&out->caching) ||
-      !r.I32(&out->client_lo) || !r.I32(&out->client_hi) ||
-      !r.I64(&out->total_pages) || !r.I32(&out->num_clients) ||
-      !r.U32(&out->page_payload_bytes) || !r.AtEnd()) {
+  if (!r.Read(&out->algorithm) || !r.Read(&out->caching) ||
+      !r.Read(&out->client_lo) || !r.Read(&out->client_hi) ||
+      !r.Read(&out->total_pages) || !r.Read(&out->num_clients) ||
+      !r.Read(&out->page_payload_bytes) || !r.AtEnd()) {
     *error = "truncated hello";
     return false;
   }
   return true;
 }
 
-namespace {
-
-/// Encodes the length prefix (zeroed, patched later) and every control
-/// field of `msg` — header plus lists, everything but the page-image
-/// payload. Returns the offset of the length prefix.
-std::size_t EncodeMessageControl(const net::Message& msg,
-                                 std::vector<std::uint8_t>* out) {
-  const std::size_t length_at = out->size();
-  PutU32(0, out);  // patched by the caller
-  PutU8(static_cast<std::uint8_t>(msg.type), out);
-  PutI32(msg.src, out);
-  PutI32(msg.dst, out);
-  PutU64(msg.xact, out);
-  PutU64(msg.request_id, out);
-  PutU64(msg.seq, out);
-  PutU32(msg.incarnation, out);
-  PutU8(static_cast<std::uint8_t>(msg.mode), out);
-  PutU8(static_cast<std::uint8_t>((msg.aborted ? 1 : 0) |
-                                  (msg.invalidate ? 2 : 0)),
-        out);
-  PutPages(msg.pages, out);
-  PutVersions(msg.versions, out);
-  PutPages(msg.data_pages, out);
-  PutVersions(msg.data_versions, out);
-  PutPages(msg.fetch_pages, out);
-  PutPages(msg.read_set, out);
-  PutVersions(msg.read_versions, out);
-  PutPages(msg.updated_set, out);
-  PutPages(msg.released_pages, out);
-  PutPages(msg.evicted_pages, out);
-  return length_at;
-}
-
-/// Patches the length prefix at `length_at` to cover the control bytes
-/// appended after it plus `extra` payload bytes that follow separately.
-void PatchFrameLength(std::size_t length_at, std::size_t extra,
-                      std::vector<std::uint8_t>* out) {
-  const std::uint32_t body =
-      static_cast<std::uint32_t>(out->size() - length_at - 4 + extra);
-  (*out)[length_at] = static_cast<std::uint8_t>(body);
-  (*out)[length_at + 1] = static_cast<std::uint8_t>(body >> 8);
-  (*out)[length_at + 2] = static_cast<std::uint8_t>(body >> 16);
-  (*out)[length_at + 3] = static_cast<std::uint8_t>(body >> 24);
-}
-
-}  // namespace
-
 void EncodeMessage(const net::Message& msg, std::uint32_t page_payload_bytes,
                    std::vector<std::uint8_t>* out) {
-  const std::size_t length_at = EncodeMessageControl(msg, out);
   // Page images: the model tracks versions rather than bytes, so the image
   // payload is zero-filled, but it is still shipped at full page size.
-  out->resize(out->size() +
-              std::size_t{page_payload_bytes} * msg.data_pages.size());
-  FinishFrame(length_at, out);
+  const std::size_t payload =
+      std::size_t{page_payload_bytes} * msg.data_pages.size();
+  EncodeMessageControl(msg, payload, out);
+  out->resize(out->size() + payload);
 }
 
 bool DecodeMessage(const std::uint8_t* body, std::size_t len,
@@ -261,21 +230,25 @@ bool DecodeMessage(const std::uint8_t* body, std::size_t len,
                    std::string* error) {
   Reader r(body, len);
   std::uint8_t type = 0, mode = 0, flags = 0;
-  if (!r.U8(&type) || !r.I32(&out->src) || !r.I32(&out->dst) ||
-      !r.U64(&out->xact) || !r.U64(&out->request_id) || !r.U64(&out->seq) ||
-      !r.U32(&out->incarnation) || !r.U8(&mode) || !r.U8(&flags)) {
+  std::int32_t src = 0, dst = 0;
+  if (!r.Read(&type) || !r.Read(&src) || !r.Read(&dst) ||
+      !r.Read(&out->xact) || !r.Read(&out->request_id) ||
+      !r.Read(&out->seq) || !r.Read(&out->incarnation) || !r.Read(&mode) ||
+      !r.Read(&flags)) {
     *error = "truncated message header";
     return false;
   }
   out->type = static_cast<net::MsgType>(type);
+  out->src = src;
+  out->dst = dst;
   out->mode = static_cast<lock::LockMode>(mode);
   out->aborted = (flags & 1) != 0;
   out->invalidate = (flags & 2) != 0;
-  if (!r.Pages(&out->pages) || !r.Versions(&out->versions) ||
-      !r.Pages(&out->data_pages) || !r.Versions(&out->data_versions) ||
-      !r.Pages(&out->fetch_pages) || !r.Pages(&out->read_set) ||
-      !r.Versions(&out->read_versions) || !r.Pages(&out->updated_set) ||
-      !r.Pages(&out->released_pages) || !r.Pages(&out->evicted_pages)) {
+  if (!r.ReadList(&out->pages) || !r.ReadList(&out->versions) ||
+      !r.ReadList(&out->data_pages) || !r.ReadList(&out->data_versions) ||
+      !r.ReadList(&out->fetch_pages) || !r.ReadList(&out->read_set) ||
+      !r.ReadList(&out->read_versions) || !r.ReadList(&out->updated_set) ||
+      !r.ReadList(&out->released_pages) || !r.ReadList(&out->evicted_pages)) {
     *error = "truncated message lists";
     return false;
   }
@@ -291,11 +264,16 @@ bool DecodeMessage(const std::uint8_t* body, std::size_t len,
 
 void FrameBuffer::AppendMessage(const net::Message& msg,
                                 std::uint32_t page_payload_bytes) {
-  const std::size_t length_at = EncodeMessageControl(msg, &bytes_);
   const std::size_t zero_len =
       std::size_t{page_payload_bytes} * msg.data_pages.size();
-  PatchFrameLength(length_at, zero_len, &bytes_);
+  EncodeMessageControl(msg, zero_len, &bytes_);
   segments_.push_back(Segment{bytes_.size(), zero_len});
+  ++frames_queued_;
+}
+
+void FrameBuffer::AppendHello(const Hello& hello) {
+  EncodeHello(hello, &bytes_);
+  segments_.push_back(Segment{bytes_.size(), 0});
   ++frames_queued_;
 }
 

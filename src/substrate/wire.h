@@ -85,6 +85,10 @@ class FrameBuffer {
   void AppendMessage(const net::Message& msg,
                      std::uint32_t page_payload_bytes);
 
+  /// Encodes one Hello frame at the tail of the batch (handshakes queue
+  /// it first, so nothing can precede it on the stream).
+  void AppendHello(const Hello& hello);
+
   /// Writes as much of the batch as the kernel will take without
   /// blocking. kDone: everything reached the socket (buffer reset).
   /// kAgain: socket buffer full, pending bytes retained. kError: the

@@ -259,7 +259,7 @@ TEST(FrameSplitterCutTest, MidFrameCutYieldsCompleteFramesThenNeedMore) {
 }
 
 // After a cut, the reconnect path hands the stream to a FRESH splitter
-// (BatchedReadLoop constructs its own): the re-sent stream must decode
+// (each redial builds a new Connection): the re-sent stream must decode
 // from the first byte, unpolluted by the abandoned prefix.
 TEST(FrameSplitterCutTest, FreshSplitterResyncsAfterReconnect) {
   const std::vector<std::uint8_t> bytes = EncodedFrames(3);
@@ -309,7 +309,7 @@ TEST(FrameSplitterCutTest, GarbageLengthPrefixIsBadNotFatal) {
 TEST(DrainOrPoisonTest, PoisonsWedgedConnectionWithinDeadline) {
   sim::Simulator server_sim;
   substrate::RealtimeSubstrate server_sub(&server_sim);
-  server_sub.set_message_sink([](net::Message) {});
+  server_sub.set_message_sink([](net::MessagePtr) {});
 
   substrate::Hello hello;
   hello.algorithm = 0;
@@ -321,6 +321,11 @@ TEST(DrainOrPoisonTest, PoisonsWedgedConnectionWithinDeadline) {
   auto server =
       substrate::TcpServerTransport::Listen(0, hello, &server_sub, &error);
   ASSERT_NE(server, nullptr) << error;
+  // The server loop accepts and answers the handshake; it is stopped
+  // before the test takes over as the (sole) loop thread below.
+  std::thread loop([&server_sub] {
+    server_sub.Run(60 * sim::kTicksPerSecond);
+  });
 
   // Raw-socket peer: handshakes like ccload, then goes silent.
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -344,10 +349,12 @@ TEST(DrainOrPoisonTest, PoisonsWedgedConnectionWithinDeadline) {
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  server_sub.Stop();
+  loop.join();
   ASSERT_EQ(server->connections_accepted(), 1u);
 
   // Queue far more page traffic than the kernel buffers will take. (We are
-  // the loop thread: no RealtimeSubstrate::Run in this test.)
+  // the loop thread: the server loop has stopped.)
   net::Message page = SeqMessage(1, net::kServerNode, /*dst=*/0);
   page.type = net::MsgType::kReadReply;
   page.data_pages.push_back(1);
@@ -382,7 +389,7 @@ TEST(DrainOrPoisonTest, PoisonsWedgedConnectionWithinDeadline) {
 TEST(DrainOrPoisonTest, DrainsWhenThePeerReads) {
   sim::Simulator server_sim;
   substrate::RealtimeSubstrate server_sub(&server_sim);
-  server_sub.set_message_sink([](net::Message) {});
+  server_sub.set_message_sink([](net::MessagePtr) {});
 
   substrate::Hello hello;
   hello.algorithm = 0;
@@ -394,11 +401,16 @@ TEST(DrainOrPoisonTest, DrainsWhenThePeerReads) {
   auto server =
       substrate::TcpServerTransport::Listen(0, hello, &server_sub, &error);
   ASSERT_NE(server, nullptr) << error;
+  // The server loop runs for the handshake only; the test then plays the
+  // loop thread for the flush under test.
+  std::thread server_loop([&server_sub] {
+    server_sub.Run(60 * sim::kTicksPerSecond);
+  });
 
   sim::Simulator client_sim;
   substrate::RealtimeSubstrate client_sub(&client_sim);
   std::atomic<std::uint64_t> received{0};
-  client_sub.set_message_sink([&received](net::Message) {
+  client_sub.set_message_sink([&received](net::MessagePtr) {
     received.fetch_add(1, std::memory_order_relaxed);
   });
   substrate::Hello ch = hello;
@@ -406,6 +418,8 @@ TEST(DrainOrPoisonTest, DrainsWhenThePeerReads) {
   ch.client_hi = 2;
   auto client = substrate::TcpClientTransport::Connect(
       "127.0.0.1", server->port(), ch, &client_sub, &error);
+  server_sub.Stop();
+  server_loop.join();
   ASSERT_NE(client, nullptr) << error;
   std::thread client_loop([&client_sub] {
     client_sub.Run(60 * sim::kTicksPerSecond);

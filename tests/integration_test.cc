@@ -133,6 +133,43 @@ INSTANTIATE_TEST_SUITE_P(
                         CachingMode::kInterTransaction, 0.5, 0.75)),
     SweepName);
 
+// A finished attempt's server state is retired once no handler refers to
+// it: after 10k commits the server holds at most MPL active states plus
+// one finished state per client whose handler is still running, not one
+// per attempt ever made.
+class RetiredStateSweep : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(RetiredStateSweep, FinishedTransactionStatesAreRetired) {
+  ExperimentConfig cfg = SmallConfig(
+      GetParam(), CachingMode::kInterTransaction, 0.2, 0.5);
+  cfg.system.mpl = 4;
+  cfg.control.record_history = false;
+  cfg.control.target_commits = 10000;
+  cfg.control.max_measure_seconds = 1e6;
+  Result<RunResult> result = RunExperiment(cfg);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const RunResult& r = result.ValueOrDie();
+  ASSERT_GE(r.commits, cfg.control.target_commits);
+  EXPECT_LE(r.final_xact_states, static_cast<std::size_t>(
+                                     cfg.system.mpl + cfg.system.num_clients));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAlgorithms, RetiredStateSweep,
+    ::testing::Values(Algorithm::kTwoPhaseLocking, Algorithm::kCertification,
+                      Algorithm::kCallbackLocking, Algorithm::kNoWaitLocking,
+                      Algorithm::kNoWaitNotify),
+    [](const ::testing::TestParamInfo<Algorithm>& info) {
+      std::string name =
+          config::AlgorithmLabel(info.param, CachingMode::kInterTransaction);
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) {
+          ch = '_';
+        }
+      }
+      return name;
+    });
+
 TEST(IntegrationTest, InvalidConfigRejected) {
   ExperimentConfig cfg = config::BaseConfig();
   cfg.transaction.prob_write = 1.5;

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -41,9 +42,10 @@
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "substrate/realtime.h"
+#include "substrate/tcp.h"
 #include "substrate/wire.h"
 #include "util/lru.h"
-#include "util/spsc_ring.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -560,13 +562,15 @@ TEST(PerfSmokeTest, EvictionVictimListIsAllocationFreeWithinInlineCapacity) {
 
 TEST(PerfSmokeTest, WirePathIsAllocationFreeAfterWarmup) {
   // The steady-state real-substrate message loop — encode into a reused
-  // FrameBuffer, vectored flush, batched recv into a reused FrameSplitter,
-  // decode into reusable SpscRing slots — must not touch the heap once
-  // every buffer has grown to its working capacity. One lap here is what
-  // one calendar step does per connection: queue a batch, flush it, read
-  // it back, peel and decode every frame into the inbound ring.
+  // FrameBuffer, vectored flush, non-blocking receive into the
+  // connection's reused FrameSplitter, decode each frame straight into a
+  // pooled message and inject it into the loop's sink — must not touch the
+  // heap once every buffer has grown to its working capacity. One lap here
+  // is what one loop pass does per connection: queue a batch, flush it,
+  // read it back, decode and inject every frame.
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::fcntl(fds[1], F_SETFL, ::fcntl(fds[1], F_GETFL, 0) | O_NONBLOCK);
 
   net::Message msg;
   msg.type = net::MsgType::kReadReply;
@@ -584,8 +588,14 @@ TEST(PerfSmokeTest, WirePathIsAllocationFreeAfterWarmup) {
   constexpr int kBatch = 8;
 
   substrate::FrameBuffer buffer;
-  substrate::FrameSplitter splitter;
-  util::SpscRing<net::Message> ring(64);
+  substrate::Connection conn{substrate::ScopedFd(fds[1])};
+  sim::Simulator sim;
+  substrate::RealtimeSubstrate loop(&sim);
+  std::uint64_t injected = 0;
+  loop.set_message_sink([&injected](net::MessagePtr in) {
+    EXPECT_EQ(in->xact, 42u);
+    ++injected;  // the handle returns the message to the pool here
+  });
   std::string error;
   std::uint64_t decoded = 0;
 
@@ -597,40 +607,41 @@ TEST(PerfSmokeTest, WirePathIsAllocationFreeAfterWarmup) {
         << "socketpair buffer too small for one batch";
     const std::uint64_t target = decoded + kBatch;
     while (decoded < target) {
-      std::uint8_t* dst = splitter.WritableData(4096);
-      const ssize_t n = ::recv(fds[1], dst, splitter.writable_size(), 0);
-      ASSERT_GT(n, 0);
-      splitter.CommitBytes(static_cast<std::size_t>(n));
+      ASSERT_TRUE(conn.Receive());
       const std::uint8_t* body = nullptr;
       std::uint32_t len = 0;
-      while (splitter.NextFrame(&body, &len) ==
+      while (conn.NextFrame(&body, &len) ==
              substrate::FrameSplitter::Next::kFrame) {
-        net::Message* slot = ring.TryReserve();
-        ASSERT_NE(slot, nullptr);
-        ASSERT_TRUE(
-            substrate::DecodeMessage(body, len, kPagePayload, slot, &error))
+        net::MessagePtr in = net::NewMessage();
+        ASSERT_TRUE(substrate::DecodeMessage(body, len, kPagePayload,
+                                             in.get(), &error))
             << error;
-        ring.Publish();
-        EXPECT_EQ(ring.Front().xact, 42u);
-        ring.Pop();
+        loop.Inject(std::move(in));
         ++decoded;
       }
     }
-    ASSERT_TRUE(splitter.Empty());
   };
 
   for (int warm = 0; warm < 4; ++warm) {
-    lap();  // grow buffer/splitter/slot capacities to steady state
+    lap();  // grow buffer/splitter/pool capacities to steady state
   }
   const std::uint64_t before = AllocationsNow();
   for (int i = 0; i < 64; ++i) {
     lap();
   }
-  EXPECT_EQ(AllocationsNow(), before)
-      << "steady-state wire path (encode/flush/split/decode) allocated";
+  const std::uint64_t allocated = AllocationsNow() - before;
+  if (net::MessagePool::kEnabled) {
+    EXPECT_EQ(allocated, 0u) << "steady-state wire path (encode/flush/"
+                                "receive/decode/inject) allocated";
+  } else {
+    // AddressSanitizer build: the message pool is bypassed, so every
+    // decoded message is a fresh allocation.
+    EXPECT_GE(allocated, 64u * kBatch)
+        << "messages should bypass the pool under ASan";
+  }
   EXPECT_EQ(decoded, 68u * kBatch);
+  EXPECT_EQ(injected, decoded);
   ::close(fds[0]);
-  ::close(fds[1]);
 }
 
 TEST(PerfSmokeTest, MessageListSpillFallsBackToHeap) {

@@ -233,8 +233,8 @@ substrate::Hello OrderingHello(int num_clients) {
 }
 
 // Per-connection FIFO must survive the whole batched path: many frames
-// per sendmsg on the sender, many frames per recv on the reader, many
-// ring slots per drain pass on the loop thread. Two connections send
+// per sendmsg on the sender, many frames per recv and per readiness event
+// on the receiving loop thread. Two connections send
 // interleaved seq-stamped bursts; the server-side sink must observe every
 // sender's sequence gapless and in order.
 TEST(BatchedOrderingTest, PerConnectionFifoUnderBatchDrain) {
@@ -247,8 +247,8 @@ TEST(BatchedOrderingTest, PerConnectionFifoUnderBatchDrain) {
   std::map<int, std::uint64_t> next_seq;   // loop thread only
   std::atomic<std::uint64_t> received{0};
   bool order_ok = true;                    // loop thread only
-  server_sub.set_message_sink([&](net::Message msg) {
-    if (msg.seq != next_seq[msg.src]++) {
+  server_sub.set_message_sink([&](net::MessagePtr msg) {
+    if (msg->seq != next_seq[msg->src]++) {
       order_ok = false;
     }
     received.fetch_add(1, std::memory_order_relaxed);
@@ -340,7 +340,7 @@ TEST(BatchedOrderingTest, PerConnectionFifoUnderBatchDrain) {
 TEST(BatchedOrderingTest, DepartedPeerDropsAreCounted) {
   sim::Simulator server_sim;
   substrate::RealtimeSubstrate server_sub(&server_sim);
-  server_sub.set_message_sink([](net::Message) {});
+  server_sub.set_message_sink([](net::MessagePtr) {});
 
   const substrate::Hello hello = OrderingHello(2);
   std::string error;
@@ -396,7 +396,7 @@ TEST(BatchedOrderingTest, ClientIsRoutableWhenConnectReturns) {
 
   sim::Simulator server_sim;
   substrate::RealtimeSubstrate server_sub(&server_sim);
-  server_sub.set_message_sink([](net::Message) {});
+  server_sub.set_message_sink([](net::MessagePtr) {});
   const substrate::Hello hello = OrderingHello(kRounds);
   std::string error;
   auto server = substrate::TcpServerTransport::Listen(
@@ -412,7 +412,7 @@ TEST(BatchedOrderingTest, ClientIsRoutableWhenConnectReturns) {
     sim::Simulator client_sim;
     substrate::RealtimeSubstrate client_sub(&client_sim);
     std::atomic<int> received{0};
-    client_sub.set_message_sink([&received](net::Message) {
+    client_sub.set_message_sink([&received](net::MessagePtr) {
       received.fetch_add(1, std::memory_order_relaxed);
     });
     substrate::Hello ch = hello;

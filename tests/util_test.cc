@@ -312,9 +312,9 @@ TEST(SpscRingTest, FifoWithinCapacityAndFullDetection) {
 }
 
 TEST(SpscRingTest, SlotContentsSurviveLaps) {
-  // The wire path decodes into ring slots and relies on a slot's heap
-  // capacity (SmallVector spill, string buffers) persisting across laps;
-  // the ring must hand back the same slot objects, never fresh ones.
+  // A producer that fills slots in place relies on a slot's heap capacity
+  // (SmallVector spill, string buffers) persisting across laps; the ring
+  // must hand back the same slot objects, never fresh ones.
   util::SpscRing<std::vector<int>> ring(2);
   for (int lap = 0; lap < 10; ++lap) {
     std::vector<int>* slot = ring.TryReserve();

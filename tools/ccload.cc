@@ -167,6 +167,8 @@ int main(int argc, char** argv) {
               r.mean_response_s, r.response_p50_s, r.response_p90_s,
               r.response_p99_s);
   std::printf("messages    : %" PRIu64 " sent\n", r.messages);
+  std::printf("loops       : busy %.2f, %.2f wakeups per commit\n",
+              r.client_loop_busy, r.client_wakeups_per_commit);
   if (cl.config.fault.recovery_enabled) {
     std::printf("recovery    : retries %" PRIu64 ", timeouts %" PRIu64
                 ", lease expirations %" PRIu64 ", dup suppressed %" PRIu64

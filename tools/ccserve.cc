@@ -127,8 +127,8 @@ int main(int argc, char** argv) {
 
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
-  // Signal handlers cannot touch the substrate's condition variable, so a
-  // watcher polls the flag (and the optional wall deadline) at 50 ms.
+  // Signal handlers cannot call into the substrate, so the main thread
+  // polls the flag (and the optional wall deadline) at 50 ms.
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -153,6 +153,10 @@ int main(int argc, char** argv) {
               " unroutable drops\n",
               r.events_processed, t.frames_received(),
               t.connections_accepted(), t.unroutable_drops());
+  std::printf("ccserve: loop busy %.2f, %.2f wakeups per commit, %zu live "
+              "transaction states\n",
+              r.server_loop_busy, r.server_wakeups_per_commit,
+              r.final_xact_states);
   std::printf("ccserve: commits logged %" PRIu64 ", buffer hit %.2f, "
               "writebacks %" PRIu64 ", deadlocks %" PRIu64 ", shed %" PRIu64
               "\n",

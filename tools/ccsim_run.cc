@@ -643,10 +643,19 @@ int main(int argc, char** argv) {
                                                   : 0),
                 static_cast<unsigned long long>(r.transactions_lost));
   }
-  std::printf("utilization        : server %.2f, net %.2f, disks %.2f, "
-              "clients %.2f\n",
-              r.server_cpu_util, r.network_util, r.data_disk_util,
-              r.client_cpu_util);
+  if (real_substrate) {
+    // The modeled resources cost nothing on real hardware; the loop
+    // threads are what is busy.
+    std::printf("loops              : server busy %.2f (%.2f wakeups/commit), "
+                "clients busy %.2f (%.2f wakeups/commit)\n",
+                r.server_loop_busy, r.server_wakeups_per_commit,
+                r.client_loop_busy, r.client_wakeups_per_commit);
+  } else {
+    std::printf("utilization        : server %.2f, net %.2f, disks %.2f, "
+                "clients %.2f\n",
+                r.server_cpu_util, r.network_util, r.data_disk_util,
+                r.client_cpu_util);
+  }
   std::printf("hit ratios         : client cache %.2f, server buffer %.2f\n",
               r.client_hit_ratio, r.server_buffer_hit_ratio);
   std::printf("messages (packets) : %llu (%llu)\n",

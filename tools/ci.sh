@@ -19,6 +19,11 @@
 #      severs every connection, replays its log and resumes, while a
 #      ccload started with only --recovery must redial and keep
 #      committing; a non-zero exit from either process fails the leg,
+#   6c. one ccserve serving three sequential ccload runs: the server's
+#      reactor accepts each run, sees it hang up and unroutes it, and
+#      retires every finished transaction's state; the leg fails if either
+#      process fails or the live transaction-state count ccserve reports
+#      at shutdown exceeds clients x runs (a bound independent of commits),
 #   7. a real-substrate chaos cocktail: each of the five protocols runs on
 #      threads + TCP with frame drop/duplicate/delay-spike, one hard
 #      partition, and one server crash + log-replay restart, oracle on; a
@@ -150,6 +155,40 @@ if (( load_status != 0 )); then
   echo "FAIL: ccload exited $load_status against a crashing ccserve"
   exit 1
 fi
+
+step "one ccserve, three sequential ccload runs (2pl, state retirement)"
+# The server outlives its load runs, as a long-lived ccserve does. Its
+# shutdown summary reports the transaction states it still holds: finished
+# attempts are retired, so only attempts a departed client left open may
+# remain, at most one per client per run.
+seq_runs=3
+seq_clients=8
+serve_log="$build_dir/ccserve.sequential.log"
+start_ccserve sequential --algorithm=2pl --clients="$seq_clients" --check \
+    --duration=$((seq_runs * (smoke_secs + 1) + 60)) >"$serve_log"
+load_status=0
+for _ in $(seq "$seq_runs"); do
+  "$build_dir"/tools/ccload --port-file="$port_file" --algorithm=2pl \
+      --clients="$seq_clients" --duration="$smoke_secs" --warmup=1 ||
+    { load_status=$?; break; }
+done
+kill -TERM "$serve_pid" 2>/dev/null || true
+serve_status=0
+wait "$serve_pid" || serve_status=$?
+cat "$serve_log"
+if (( load_status != 0 || serve_status != 0 )); then
+  echo "FAIL: ccload exited $load_status, ccserve exited $serve_status"
+  exit 1
+fi
+live_states=$(sed -n 's/.* \([0-9][0-9]*\) live transaction states.*/\1/p' \
+    "$serve_log")
+if [[ -z "$live_states" ]] ||
+    (( live_states > seq_clients * seq_runs )); then
+  echo "FAIL: ccserve holds '${live_states}' transaction states after" \
+       "$seq_runs runs of $seq_clients clients (bound $((seq_clients * seq_runs)))"
+  exit 1
+fi
+echo "ccserve held $live_states transaction states after $seq_runs runs"
 
 step "real-substrate chaos cocktail (5 protocols, drop+dup+spike+hard-partition+crash)"
 # The wire-level fault plan from DESIGN.md §5c on real threads + TCP:

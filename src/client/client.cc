@@ -38,15 +38,17 @@ Client::Client(sim::Simulator* simulator, int id,
                const config::ExperimentConfig& config,
                const db::DatabaseLayout* layout, net::Network* network,
                runner::Metrics* metrics, sim::Pcg32 object_rng,
-               sim::Pcg32 delay_rng, sim::Pcg32 jitter_rng)
+               sim::Pcg32 delay_rng, sim::Pcg32 jitter_rng,
+               std::uint64_t xact_seq_base)
     : simulator_(simulator), id_(id), config_(config), network_(network),
       metrics_(metrics),
       cpu_(simulator, "client" + std::to_string(id) + ".cpu",
            config.system.num_client_cpus),
       cache_(config.system.client_cache_pages),
       generator_(config.EffectiveMix(), layout, object_rng, delay_rng),
-      inbox_(simulator), jitter_rng_(jitter_rng) {
+      inbox_(simulator), xact_seq_(xact_seq_base), jitter_rng_(jitter_rng) {
   CCSIM_CHECK(id >= 0 && id < (1 << kUidClientBits) - 1);
+  CCSIM_CHECK(xact_seq_base < (std::uint64_t{1} << (63 - kUidClientBits)));
   resilient_ = config.fault.recovery_enabled;
   if (resilient_) {
     rpc_timeout_ticks_ = sim::MillisToTicks(config.fault.rpc_timeout_ms);
@@ -96,7 +98,6 @@ void Client::NoteAbort(std::uint64_t xact, std::span<const db::PageId> stale) {
 }
 
 sim::Task<net::MessagePtr> Client::Rpc(net::MessagePtr msg) {
-  last_rpc_type_ = msg->type;
   last_rpc_at_ = simulator_->Now();
   msg->src = id_;
   msg->dst = net::kServerNode;

@@ -41,11 +41,13 @@ namespace ccsim::client {
 /// detail that shapes the interactive experiment).
 class Client {
  public:
+  /// Built by proto::MakeClient, which says what the arguments are.
   Client(sim::Simulator* simulator, int id,
          const config::ExperimentConfig& config,
          const db::DatabaseLayout* layout, net::Network* network,
          runner::Metrics* metrics, sim::Pcg32 object_rng,
-         sim::Pcg32 delay_rng, sim::Pcg32 jitter_rng);
+         sim::Pcg32 delay_rng, sim::Pcg32 jitter_rng,
+         std::uint64_t xact_seq_base);
   ~Client();
 
   Client(const Client&) = delete;
@@ -77,7 +79,6 @@ class Client {
   /// cache at attempt end. Ignored for non-current uids.
   void NoteAbort(std::uint64_t xact, std::span<const db::PageId> stale);
   /// Why the current attempt aborted (recorded once per failed attempt).
-  runner::AbortKind last_abort_kind() const { return last_abort_kind_; }
   void set_last_abort_kind(runner::AbortKind kind) {
     last_abort_kind_ = kind;
   }
@@ -142,10 +143,7 @@ class Client {
 
   // Debug/diagnostic accessors.
   std::size_t pending_rpcs() const { return pending_.size(); }
-  net::MsgType last_rpc_type() const { return last_rpc_type_; }
   sim::Ticks last_rpc_at() const { return last_rpc_at_; }
-  std::size_t deferred_messages() const { return deferred_.size(); }
-  bool in_user_delay() const { return in_user_delay_; }
 
  private:
   friend class ClientTestPeer;
@@ -227,7 +225,6 @@ class Client {
   runner::AbortKind last_abort_kind_ = runner::AbortKind::kDeadlock;
   std::vector<db::PageId> pending_stale_;
 
-  net::MsgType last_rpc_type_{};
   sim::Ticks last_rpc_at_ = 0;
   std::uint64_t next_request_id_ = 1;
   /// In-flight RPCs, oldest first. A client has a handful at most, so a

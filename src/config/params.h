@@ -190,8 +190,6 @@ struct ControlParams {
   std::uint64_t target_commits = 3000;
   /// ... or after this much simulated measurement time, whichever first.
   double max_measure_seconds = 600.0;
-  /// Record per-commit history for the serializability validator (tests).
-  bool record_history = false;
 
   bool operator==(const ControlParams&) const = default;
 };

@@ -49,13 +49,6 @@ std::unique_ptr<substrate::WireFaultAdapter> InstallTransport(
 }  // namespace
 
 Status ValidateRealConfig(const config::ExperimentConfig& config) {
-  if (config.control.record_history) {
-    return Status::InvalidArgument(
-        "--record-history is simulated-substrate-only (the real "
-        "substrate's clients are sharded across threads/processes, so "
-        "there is no global commit order to record) — rerun with "
-        "--substrate=sim or drop --record-history");
-  }
   for (const config::FaultParams::CrashEvent& crash : config.fault.crashes) {
     if (crash.node != net::kServerNode) {
       return Status::InvalidArgument(

@@ -18,8 +18,7 @@
 namespace ccsim::runner {
 
 /// Rejects configurations that only make sense on the DES substrate,
-/// naming the offending flag: commit-history recording (no global commit
-/// order across shards) and client-node crash windows (shards have no
+/// naming the offending flag: client-node crash windows (shards have no
 /// crash/restart hook). Everything else — message drop/dup/delay-spike,
 /// partitions (soft and hard), server crash+restart, storage faults —
 /// runs on the wire via the WireFaultAdapter.

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <memory>
-#include <string>
 
 #include "check/checker.h"
 #include "client/client.h"
@@ -19,14 +18,6 @@
 
 namespace ccsim::runner {
 namespace {
-
-/// RNG stream ids. Distinct per component so that changing one knob does
-/// not perturb unrelated variate sequences across compared runs.
-constexpr std::uint64_t kNetworkStream = 0x7e7;
-constexpr std::uint64_t kClientObjectStreamBase = 0x1000;
-constexpr std::uint64_t kClientDelayStreamBase = 0x20000;
-constexpr std::uint64_t kClientJitterStreamBase = 0x30000;
-constexpr std::uint64_t kFaultStream = 0xFA17;
 
 /// Server crash-restart: the node stays unreachable until log replay ends.
 sim::Process RecoverServer(server::Server* server,
@@ -56,25 +47,17 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   const std::uint64_t seed = config.control.seed;
   db::DatabaseLayout layout(config.database, config.system.num_data_disks);
   Metrics metrics(&sim);
-  metrics.set_record_history(config.control.record_history);
   net::Network network(&sim, sim::MillisToTicks(config.system.net_delay_ms),
-                       sim::Pcg32(seed, kNetworkStream));
-  server::Server server(&sim, config, &layout, &network, &metrics, seed);
-  server.set_protocol(proto::MakeServerProtocol(config.algorithm, &server));
+                       sim::Pcg32(seed, sim::kNetworkStream));
+  const std::unique_ptr<server::Server> server_owner =
+      proto::MakeServer(&sim, config, &layout, &network, &metrics, seed);
+  server::Server& server = *server_owner;
 
   std::vector<std::unique_ptr<client::Client>> clients;
   clients.reserve(static_cast<std::size_t>(config.system.num_clients));
   for (int i = 0; i < config.system.num_clients; ++i) {
-    auto c = std::make_unique<client::Client>(
-        &sim, i, config, &layout, &network, &metrics,
-        sim::Pcg32(seed, kClientObjectStreamBase +
-                             static_cast<std::uint64_t>(i)),
-        sim::Pcg32(seed,
-                   kClientDelayStreamBase + static_cast<std::uint64_t>(i)),
-        sim::Pcg32(seed,
-                   kClientJitterStreamBase + static_cast<std::uint64_t>(i)));
-    c->set_protocol(proto::MakeClientProtocol(config.algorithm, c.get()));
-    clients.push_back(std::move(c));
+    clients.push_back(proto::MakeClient(&sim, i, config, &layout, &network,
+                                        &metrics, seed));
   }
 
   // Consistency checker: one per run (never shared, so parallel sweeps
@@ -85,56 +68,32 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   // only enqueues compact records; a dedicated verification thread runs
   // the serialization-graph maintenance and is joined (after a drain
   // barrier) before any counter below is read.
-  std::unique_ptr<check::Checker> checker;
-  if (config.checker.enabled) {
-    check::Checker::Options options;
-    options.pipelined = config.checker.pipelined;
-    options.audit_epoch_commits = config.checker.audit_epoch_commits;
-    options.queue_capacity = config.checker.queue_capacity;
-    options.oracle.context =
-        config::AlgorithmLabel(config.algorithm.algorithm,
-                               config.algorithm.caching) +
-        ", seed " + std::to_string(seed);
-    checker =
-        std::make_unique<check::Checker>(&server.versions(), options);
-    server::Server* srv = &server;
-    auto* client_list = &clients;
-    const bool fault_free = !config.fault.recovery_enabled;
-    checker->set_audit_hook([srv, client_list, fault_free] {
-      srv->directory().AuditStructure();
-      if (fault_free) {
-        // Uncommitted buffer frames must belong to live transactions.
-        // Crash/GC windows legitimately break liveness, so resilient runs
-        // audit structure only.
-        srv->pool().AuditConsistency([srv](std::uint64_t owner) {
-          const server::XactState* state = srv->FindXact(owner);
-          return state != nullptr && !state->done;
-        });
-        // Every retained copy a client trusts must be backed by a
-        // server-side retained lock (callback locking's core promise; the
-        // lease machinery relaxes it under faults). Pages locked by the
-        // client's current transaction are in a legitimate transfer
-        // window and are skipped.
-        for (const auto& c : *client_list) {
-          const int id = c->id();
-          c->cache().ForEach([&](db::PageId page,
-                                 const client::CachedPage& entry) {
-            if (!entry.retained || entry.lock != client::PageLock::kNone) {
-              return;
-            }
-            CCSIM_CHECK_MSG(
-                srv->locks().Holds(lock::RetainedOwner(id), page,
+  const std::unique_ptr<check::Checker> checker =
+      proto::MakeChecker(config, seed, "", &server, &metrics);
+  if (checker != nullptr && !config.fault.recovery_enabled) {
+    // Every retained copy a client trusts must also be backed by a
+    // server-side retained lock (callback locking's core promise; the
+    // lease machinery relaxes it under faults). Pages locked by the
+    // client's current transaction are in a legitimate transfer window
+    // and are skipped.
+    checker->set_audit_hook([&server, &clients] {
+      server.Audit();
+      for (const auto& c : clients) {
+        const int id = c->id();
+        c->cache().ForEach([&](db::PageId page,
+                               const client::CachedPage& entry) {
+          if (!entry.retained || entry.lock != client::PageLock::kNone) {
+            return;
+          }
+          CCSIM_CHECK_MSG(
+              server.locks().Holds(lock::RetainedOwner(id), page,
                                    lock::LockMode::kShared),
-                "client %d trusts a retained copy of page %d with no "
-                "server-side retained lock",
-                id, page);
-          });
-        }
-      } else {
-        srv->pool().AuditConsistency(nullptr);
+              "client %d trusts a retained copy of page %d with no "
+              "server-side retained lock",
+              id, page);
+        });
       }
     });
-    metrics.set_checker(checker.get());
   }
 
   // Fault injection: attach an injector only when the config asks for
@@ -143,7 +102,7 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   std::unique_ptr<fault::FaultInjector> injector;
   if (config.fault.AnyFaults()) {
     injector = std::make_unique<fault::FaultInjector>(
-        fault::MakePlan(config.fault), sim::Pcg32(seed, kFaultStream));
+        fault::MakePlan(config.fault), sim::Pcg32(seed, sim::kFaultStream));
     network.set_fault_injector(injector.get());
     fault::FaultInjector* inj = injector.get();
     for (const fault::CrashWindow& crash : inj->plan().crashes) {
@@ -180,7 +139,7 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   const auto wall_begin = std::chrono::steady_clock::now();
   sim.Run(sim::SecondsToTicks(config.control.warmup_seconds));
   const sim::Ticks window_start = sim.Now();
-  metrics.ResetWindow(window_start);
+  metrics.ResetWindow();
   server.cpu().ResetStats(window_start);
   network.ResetStats(window_start);
   for (storage::Disk* disk : server.data_disks()) {
@@ -250,7 +209,6 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   for (const sim::Tally& tally : metrics.per_type_response_s()) {
     result.per_type_response.emplace_back(tally.mean(), tally.count());
   }
-  result.history = metrics.history();
   if (injector != nullptr) {
     AddInjectorCounters(*injector, &result);
   }

@@ -82,9 +82,6 @@ struct RunResult {
   /// ExperimentConfig::mix order. Single-type runs have one entry.
   std::vector<std::pair<double, std::uint64_t>> per_type_response;
 
-  /// Commit history (only when control.record_history was set).
-  std::vector<Metrics::CommitRecord> history;
-
   // Fault injection / recovery (all zero on a fault-free run).
   std::uint64_t messages_dropped = 0;
   std::uint64_t messages_duplicated = 0;

@@ -4,10 +4,8 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "db/database.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "sim/time.h"
@@ -211,7 +209,7 @@ class Metrics {
   }
 
   /// End-of-warmup reset of the measurement window.
-  void ResetWindow(sim::Ticks now) {
+  void ResetWindow() {
     response_s_.Reset();
     response_batches_.Reset();
     response_hist_.Reset();
@@ -220,7 +218,6 @@ class Metrics {
     commits_ = aborts_ = deadlock_aborts_ = stale_aborts_ = cert_aborts_ = 0;
     timeout_aborts_ = crash_aborts_ = 0;
     attempts_started_ = 0;
-    window_start_ = now;
   }
 
   const sim::Tally& response_s() const { return response_s_; }
@@ -237,20 +234,6 @@ class Metrics {
   std::uint64_t deadlock_aborts() const { return deadlock_aborts_; }
   std::uint64_t stale_aborts() const { return stale_aborts_; }
   std::uint64_t cert_aborts() const { return cert_aborts_; }
-  sim::Ticks window_start() const { return window_start_; }
-
-  /// Optional commit history for the serializability validator (tests).
-  struct CommitRecord {
-    int client = 0;
-    std::uint64_t xact = 0;
-    sim::Ticks at = 0;
-    /// (page, version read) for every page in the read set.
-    std::vector<std::pair<db::PageId, std::uint64_t>> reads;
-    /// (page, new version installed) for every updated page.
-    std::vector<std::pair<db::PageId, std::uint64_t>> writes;
-  };
-  void set_record_history(bool on) { record_history_ = on; }
-  bool record_history() const { return record_history_; }
 
   /// The run's consistency checker front-end (checker.enabled runs only;
   /// null otherwise). Metrics is the one object every component already
@@ -259,10 +242,6 @@ class Metrics {
   /// treat null as "checking off".
   void set_checker(check::Checker* checker) { checker_ = checker; }
   check::Checker* checker() const { return checker_; }
-  void AddHistory(CommitRecord record) {
-    history_.push_back(std::move(record));
-  }
-  const std::vector<CommitRecord>& history() const { return history_; }
 
  private:
   sim::Simulator* simulator_;
@@ -293,9 +272,6 @@ class Metrics {
   std::uint64_t unknown_outcomes_ = 0;
   std::uint64_t shed_requests_ = 0;
   std::uint64_t retry_budget_exhaustions_ = 0;
-  sim::Ticks window_start_ = 0;
-  bool record_history_ = false;
-  std::vector<CommitRecord> history_;
   check::Checker* checker_ = nullptr;
 };
 

@@ -143,6 +143,18 @@ std::uint64_t Server::ActiveXactOfClient(int client) const {
   return it == active_by_client_.end() ? 0 : it->second;
 }
 
+void Server::Audit() {
+  directory_.AuditStructure();
+  if (resilient_) {
+    pool_->AuditConsistency(nullptr);
+    return;
+  }
+  pool_->AuditConsistency([this](std::uint64_t owner) {
+    const XactState* state = FindXact(owner);
+    return state != nullptr && !state->done;
+  });
+}
+
 bool Server::IsStale(const net::Message& msg) const {
   if (msg.xact == 0 || msg.src == net::kServerNode) {
     return false;
@@ -420,9 +432,7 @@ void Server::BumpVersionsAndRecord(XactState& state, net::Message* reply) {
                       page);
     }
   }
-  const bool record_history = metrics_->record_history();
-  const bool observe = record_history || checker != nullptr;
-  if (observe) {
+  if (checker != nullptr) {
     // Reusable scratch, not per-commit vectors: the checker copies the
     // sets into its epoch arena (or applies them inline), so nothing here
     // needs to outlive this call.
@@ -435,29 +445,17 @@ void Server::BumpVersionsAndRecord(XactState& state, net::Message* reply) {
     const std::uint64_t new_version = versions_.Bump(page);
     reply->pages.push_back(page);
     reply->versions.push_back(new_version);
-    if (observe) {
+    if (checker != nullptr) {
       commit_writes_scratch_.emplace_back(page, new_version);
     }
   }
-  if (observe) {
-    const std::int64_t at = simulator_->Now();
-    if (checker != nullptr) {
-      // The version bumps above and this LSN stamping are one atomic step
-      // (no awaits), so per-page LSNs are monotone iff commits install
-      // versions in chain order.
-      log_->AppendCommitRecord(commit_writes_scratch_);
-      checker->OnCommit(state.client, state.uid, at, commit_reads_scratch_,
-                        commit_writes_scratch_);
-    }
-    if (record_history) {
-      runner::Metrics::CommitRecord record;
-      record.client = state.client;
-      record.xact = state.uid;
-      record.at = at;
-      record.reads = commit_reads_scratch_;
-      record.writes = commit_writes_scratch_;
-      metrics_->AddHistory(std::move(record));
-    }
+  if (checker != nullptr) {
+    // The version bumps above and this LSN stamping are one atomic step
+    // (no awaits), so each page's logged versions form a dense chain iff
+    // commits install versions in chain order.
+    log_->AuditCommitWrites(commit_writes_scratch_);
+    checker->OnCommit(state.client, state.uid, simulator_->Now(),
+                      commit_reads_scratch_, commit_writes_scratch_);
   }
 }
 

@@ -120,6 +120,11 @@ class Server {
   /// none). Used as the waits-for proxy for retained locks.
   std::uint64_t ActiveXactOfClient(int client) const;
 
+  /// The server half of the checker's audit: directory structure and buffer
+  /// pool consistency, plus (fault-free runs only; crash and GC windows
+  /// break it) that every uncommitted frame belongs to a live transaction.
+  void Audit();
+
   /// Fetches `pages` through the buffer pool, charges ServerProcPage per
   /// page, appends (page, data, version) to the reply, and notes the copies
   /// in the directory. With `record_reads`, the versions enter
@@ -140,9 +145,9 @@ class Server {
 
   /// Synchronous commit point: asserts the serializability oracle (every
   /// read version is still current), bumps versions of the pages in
-  /// state.updated (appended to reply->pages/versions), and records commit
-  /// history. Runs without awaiting so validation and version installation
-  /// are atomic with respect to rival commits.
+  /// state.updated (appended to reply->pages/versions), and feeds the log
+  /// audit and the checker, if on. Runs without awaiting so validation and
+  /// version installation are atomic with respect to rival commits.
   void BumpVersionsAndRecord(XactState& state, net::Message* reply);
 
   /// Commit tail: buffer-pool commit, log force, admission-slot release.
@@ -204,17 +209,6 @@ class Server {
   /// Transactions committed over the server's lifetime.
   std::uint64_t transactions_committed() const { return committed_; }
 
-  /// Debug: snapshot of the active transactions.
-  std::vector<const XactState*> ActiveXactStates() const {
-    std::vector<const XactState*> out;
-    for (std::uint64_t uid : active_) {
-      auto it = xacts_.find(uid);
-      if (it != xacts_.end()) {
-        out.push_back(it->second.get());
-      }
-    }
-    return out;
-  }
   std::size_t ready_queue_length() const { return ready_.size(); }
   /// Largest ready-queue depth ever reached (overload diagnostics).
   std::size_t ready_queue_high_water() const { return ready_high_water_; }
@@ -286,8 +280,8 @@ class Server {
   std::size_t ready_high_water_ = 0;
   std::uint64_t committed_ = 0;
 
-  /// Reusable commit-point scratch for the checker / history feed (cleared
-  /// per commit; capacity persists so the steady state allocates nothing).
+  /// Reusable commit-point scratch for the checker feed (cleared per
+  /// commit; capacity persists so the steady state allocates nothing).
   std::vector<std::pair<db::PageId, std::uint64_t>> commit_reads_scratch_;
   std::vector<std::pair<db::PageId, std::uint64_t>> commit_writes_scratch_;
 

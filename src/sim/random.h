@@ -88,6 +88,19 @@ class Pcg32 {
   std::uint64_t inc_;
 };
 
+/// RNG stream ids of a run, one per component, shared by both substrates:
+/// changing one knob leaves the other components' variate sequences alone.
+/// Client streams add the client's global id, so a client's workload is the
+/// same on either substrate and under any sharding.
+inline constexpr std::uint64_t kNetworkStream = 0x7e7;
+inline constexpr std::uint64_t kClientObjectStreamBase = 0x1000;
+inline constexpr std::uint64_t kClientDelayStreamBase = 0x20000;
+inline constexpr std::uint64_t kClientJitterStreamBase = 0x30000;
+/// Message faults (the DES injector, the real wire adapter) and a real
+/// server's storage faults, drawn apart so each stays deterministic alone.
+inline constexpr std::uint64_t kFaultStream = 0xFA17;
+inline constexpr std::uint64_t kStorageFaultStream = 0xFA18;
+
 }  // namespace ccsim::sim
 
 #endif  // CCSIM_SIM_RANDOM_H_

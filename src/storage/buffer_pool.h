@@ -95,7 +95,6 @@ class BufferPool {
   /// every uncommitted owner is a live transaction. Fatal on violation.
   void AuditConsistency(const std::function<bool(std::uint64_t)>& live) const;
 
-  std::size_t loading_count() const { return loading_.size(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t writebacks() const { return writebacks_; }

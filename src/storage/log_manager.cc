@@ -80,28 +80,28 @@ sim::Task<void> LogManager::ProcessAbort(
   }
 }
 
-void LogManager::AppendCommitRecord(
+void LogManager::AuditCommitWrites(
     const std::vector<std::pair<db::PageId, std::uint64_t>>& writes) {
   if (writes.empty()) {
     return;  // read-only commit: no log records
   }
   const std::uint64_t lsn = next_lsn_++;
   for (const auto& [page, version] : writes) {
-    auto [it, inserted] = page_lsn_.emplace(page, std::make_pair(lsn, version));
-    if (inserted) {
-      continue;
-    }
-    auto& [last_lsn, last_version] = it->second;
+    // Every page starts at version 1 (db::VersionTable) without a log
+    // record, so its first logged version is 2.
+    auto& [last_lsn, last_version] =
+        page_lsn_.try_emplace(page, 0, 1).first->second;
     CCSIM_CHECK_MSG(lsn > last_lsn,
                     "log LSN not monotone on page %d: %llu after %llu", page,
                     static_cast<unsigned long long>(lsn),
                     static_cast<unsigned long long>(last_lsn));
-    CCSIM_CHECK_MSG(version > last_version,
+    CCSIM_CHECK_MSG(version == last_version + 1,
                     "page %d logged version %llu after %llu: commit records "
                     "out of version-chain order",
                     page, static_cast<unsigned long long>(version),
                     static_cast<unsigned long long>(last_version));
-    it->second = {lsn, version};
+    last_lsn = lsn;
+    last_version = version;
   }
 }
 

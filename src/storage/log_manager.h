@@ -84,13 +84,15 @@ class LogManager {
   sim::Task<void> ReplayRecovery(int redo_pages);
 
   /// Consistency-oracle audit: stamps one LSN per updated page at the
-  /// commit point and asserts per-page LSN *and* version monotonicity —
-  /// the write-ahead contract that redo recovery depends on. Called (only
-  /// on checker-enabled runs) synchronously with the version bumps, so a
-  /// protocol that lets two commits install versions out of chain order
-  /// trips the check at the exact commit that reordered them. Pure
-  /// bookkeeping: no simulated I/O or CPU is charged.
-  void AppendCommitRecord(
+  /// commit point and asserts per-page LSN monotonicity and a dense
+  /// version chain (each logged version is the page's previous one plus
+  /// one, starting at 2) — the write-ahead contract that redo recovery
+  /// depends on. Called (only on checker-enabled runs) synchronously with
+  /// the version bumps, so a protocol that lets two commits install
+  /// versions out of chain order, or skip or repeat one, trips the check
+  /// at the exact commit that broke the chain. Pure bookkeeping: no
+  /// simulated I/O or CPU is charged.
+  void AuditCommitWrites(
       const std::vector<std::pair<db::PageId, std::uint64_t>>& writes);
 
   std::uint64_t commits_logged() const { return commits_logged_; }
@@ -132,7 +134,7 @@ class LogManager {
   std::uint64_t torn_writes_detected_ = 0;
   std::uint64_t bit_flips_detected_ = 0;
   std::uint64_t log_rewrites_ = 0;
-  /// Audit state (AppendCommitRecord): next LSN to assign and the last
+  /// Audit state (AuditCommitWrites): next LSN to assign and the last
   /// (lsn, version) stamped per page. Survives simulated server crashes by
   /// design — the log is durable, so monotonicity must hold across them.
   std::uint64_t next_lsn_ = 1;

@@ -15,11 +15,6 @@
 
 namespace ccsim::substrate {
 
-/// Dedicated PCG stream for wire-level fault draws (distinct from the DES
-/// network stream so a given seed produces independent-but-deterministic
-/// fault sequences on either substrate).
-inline constexpr std::uint64_t kWireFaultStream = 0xFA17;
-
 /// Fault-injecting decorator at the net::Transport seam: applies the
 /// FaultPlan's drop/duplicate/delay-spike draws to whole messages
 /// (= whole frames once encoded) before they reach the real wire transport,
@@ -45,7 +40,7 @@ class WireFaultAdapter : public net::Transport {
  public:
   WireFaultAdapter(fault::FaultPlan plan, std::uint64_t seed,
                    RealtimeSubstrate* substrate, net::Transport* next)
-      : injector_(std::move(plan), sim::Pcg32(seed, kWireFaultStream)),
+      : injector_(std::move(plan), sim::Pcg32(seed, sim::kFaultStream)),
         substrate_(substrate), next_(next) {}
 
   /// Outbound: fault-draw the message, then hand survivors downstream.

@@ -1,6 +1,6 @@
 #include "substrate/node.h"
 
-#include <string>
+#include <chrono>
 #include <utility>
 
 #include "proto/factory.h"
@@ -11,16 +11,17 @@
 namespace ccsim::substrate {
 namespace {
 
-/// RNG stream ids, identical to the DES runner's (runner/experiment.cc) so
-/// a client's workload is the same variate sequence on either substrate.
-constexpr std::uint64_t kNetworkStream = 0x7e7;
-constexpr std::uint64_t kClientObjectStreamBase = 0x1000;
-constexpr std::uint64_t kClientDelayStreamBase = 0x20000;
-constexpr std::uint64_t kClientJitterStreamBase = 0x30000;
-/// Storage-fault draws get their own stream (distinct from the wire-fault
-/// adapter's kWireFaultStream) so log forces and message faults stay
-/// deterministic independently of each other.
-constexpr std::uint64_t kStorageFaultStream = 0xFA18;
+/// Uid sequence base of a client session: wall-clock microseconds. A
+/// ccserve outlives its ccload sessions and takes a uid not above the
+/// highest it finished for that client id as stale. Each attempt costs a
+/// round trip, so no client starts one per microsecond: every session's
+/// uids exceed every earlier session's. (Below Client's 2^53 until 2255.)
+std::uint64_t SessionXactSeqBase() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+}
 
 }  // namespace
 
@@ -47,54 +48,38 @@ Hello MakeHello(const config::ExperimentConfig& config) {
   return hello;
 }
 
-// --- ServerNode -----------------------------------------------------------
-
-ServerNode::ServerNode(const config::ExperimentConfig& config,
-                       std::uint64_t seed)
+Node::Node(const config::ExperimentConfig& config, std::uint64_t seed)
     : config_(config), substrate_(&sim_),
       layout_(config_.database, config_.system.num_data_disks),
       metrics_(&sim_),
       network_(&sim_, sim::MillisToTicks(config_.system.net_delay_ms),
-               sim::Pcg32(seed, kNetworkStream)) {
-  server_ = std::make_unique<server::Server>(&sim_, config_, &layout_,
-                                             &network_, &metrics_, seed);
-  server_->set_protocol(
-      proto::MakeServerProtocol(config_.algorithm, server_.get()));
-  if (config_.checker.enabled) {
-    check::Checker::Options options;
-    options.pipelined = config_.checker.pipelined;
-    options.audit_epoch_commits = config_.checker.audit_epoch_commits;
-    options.queue_capacity = config_.checker.queue_capacity;
-    options.oracle.context =
-        config::AlgorithmLabel(config_.algorithm.algorithm,
-                               config_.algorithm.caching) +
-        " (real substrate), seed " + std::to_string(seed);
-    checker_ =
-        std::make_unique<check::Checker>(&server_->versions(), options);
-    // Server-side structural audits only: the clients live in other
-    // processes (or other shards' loop threads), so the cross-node
-    // retained-lock check of the DES harness is out of reach here.
-    server::Server* srv = server_.get();
-    checker_->set_audit_hook([srv] {
-      srv->directory().AuditStructure();
-      srv->pool().AuditConsistency([srv](std::uint64_t owner) {
-        const server::XactState* state = srv->FindXact(owner);
-        return state != nullptr && !state->done;
-      });
-    });
-    metrics_.set_checker(checker_.get());
-  }
+               sim::Pcg32(seed, sim::kNetworkStream)) {}
+
+// --- ServerNode -----------------------------------------------------------
+
+ServerNode::ServerNode(const config::ExperimentConfig& config,
+                       std::uint64_t seed)
+    : Node(config, seed) {
+  server_ =
+      proto::MakeServer(&sim_, config_, &layout_, &network_, &metrics_, seed);
+  // The clients live in other processes (or other shards' loop threads),
+  // so the DES harness's cross-node retained-lock audit is out of reach
+  // here: the server audits itself only.
+  checker_ = proto::MakeChecker(config_, seed, " (real substrate)",
+                                server_.get(), &metrics_);
   fault::FaultPlan plan = fault::MakePlan(config_.fault);
   if (plan.storage.Any()) {
     // Torn writes / bit flips happen inside log forces, which run on this
     // node's loop thread only — a plain injector is safe here.
     storage_injector_ = std::make_unique<fault::FaultInjector>(
-        std::move(plan), sim::Pcg32(seed, kStorageFaultStream));
+        std::move(plan), sim::Pcg32(seed, sim::kStorageFaultStream));
     server_->log().set_fault_injector(storage_injector_.get());
   }
-  server::Server* srv = server_.get();
-  substrate_.set_message_sink(
-      [srv](net::MessagePtr msg) { srv->inbox().Push(std::move(msg)); });
+  substrate_.set_message_sink([this](net::MessagePtr msg) {
+    if (Admit(*msg)) {
+      server_->inbox().Push(std::move(msg));
+    }
+  });
 }
 
 ServerNode::~ServerNode() {
@@ -109,59 +94,33 @@ std::uint64_t ServerNode::RunLoop(sim::Ticks horizon) {
   return substrate_.Run(horizon);
 }
 
-void ServerNode::InstallInboundFilter(
-    std::function<bool(const net::Message&)> filter) {
-  server::Server* srv = server_.get();
-  substrate_.set_message_sink(
-      [srv, filter = std::move(filter)](net::MessagePtr msg) {
-        if (filter(*msg)) {
-          srv->inbox().Push(std::move(msg));
-        }
-      });
-}
-
-bool ServerNode::FinalizeChecker() {
-  if (checker_ == nullptr) {
-    return false;
+void ServerNode::FinalizeChecker() {
+  if (checker_ != nullptr) {
+    checker_->Finish();
+    checker_->oracle().Finalize(metrics_.unknown_outcomes());
   }
-  checker_->Finish();
-  checker_->oracle().Finalize(metrics_.unknown_outcomes());
-  return true;
 }
 
 // --- ClientShard ----------------------------------------------------------
 
 ClientShard::ClientShard(const config::ExperimentConfig& config,
                          std::uint64_t seed, int client_lo, int client_hi)
-    : config_(config), client_lo_(client_lo), client_hi_(client_hi),
-      substrate_(&sim_),
-      layout_(config_.database, config_.system.num_data_disks),
-      metrics_(&sim_),
-      network_(&sim_, sim::MillisToTicks(config_.system.net_delay_ms),
-               sim::Pcg32(seed, kNetworkStream)) {
+    : Node(config, seed), client_lo_(client_lo), client_hi_(client_hi) {
   CCSIM_CHECK(client_lo >= 0 && client_lo < client_hi &&
               client_hi <= config_.system.num_clients);
+  const std::uint64_t xact_seq_base = SessionXactSeqBase();
   clients_.reserve(static_cast<std::size_t>(client_hi - client_lo));
   for (int id = client_lo; id < client_hi; ++id) {
-    auto c = std::make_unique<client::Client>(
-        &sim_, id, config_, &layout_, &network_, &metrics_,
-        sim::Pcg32(seed,
-                   kClientObjectStreamBase + static_cast<std::uint64_t>(id)),
-        sim::Pcg32(seed,
-                   kClientDelayStreamBase + static_cast<std::uint64_t>(id)),
-        sim::Pcg32(seed, kClientJitterStreamBase +
-                             static_cast<std::uint64_t>(id)));
-    c->set_protocol(proto::MakeClientProtocol(config_.algorithm, c.get()));
-    clients_.push_back(std::move(c));
+    clients_.push_back(proto::MakeClient(&sim_, id, config_, &layout_,
+                                         &network_, &metrics_, seed,
+                                         xact_seq_base));
   }
-  auto* clients = &clients_;
-  const int lo = client_lo;
-  const int hi = client_hi;
-  substrate_.set_message_sink([clients, lo, hi](net::MessagePtr msg) {
-    if (msg->dst < lo || msg->dst >= hi) {
-      return;  // not ours (stray frame from a confused peer)
+  substrate_.set_message_sink([this](net::MessagePtr msg) {
+    // Frames for other clients come from a confused peer: not ours.
+    if (msg->dst < client_lo_ || msg->dst >= client_hi_ || !Admit(*msg)) {
+      return;
     }
-    (*clients)[static_cast<std::size_t>(msg->dst - lo)]->inbox().Push(
+    clients_[static_cast<std::size_t>(msg->dst - client_lo_)]->inbox().Push(
         std::move(msg));
   });
 }
@@ -174,27 +133,12 @@ void ClientShard::Start() {
   }
 }
 
-void ClientShard::InstallInboundFilter(
-    std::function<bool(const net::Message&)> filter) {
-  auto* clients = &clients_;
-  const int lo = client_lo_;
-  const int hi = client_hi_;
-  substrate_.set_message_sink(
-      [clients, lo, hi, filter = std::move(filter)](net::MessagePtr msg) {
-        if (msg->dst < lo || msg->dst >= hi || !filter(*msg)) {
-          return;
-        }
-        (*clients)[static_cast<std::size_t>(msg->dst - lo)]->inbox().Push(
-            std::move(msg));
-      });
-}
-
 std::uint64_t ClientShard::RunLoop(sim::Ticks warmup, sim::Ticks duration) {
   if (warmup > 0) {
     runner::Metrics* metrics = &metrics_;
     RealtimeSubstrate* loop = &substrate_;
     sim_.ScheduleAt(warmup, [metrics, loop] {
-      metrics->ResetWindow(loop->sim().Now());
+      metrics->ResetWindow();
       loop->ResetLoopStats();
     });
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "check/checker.h"
@@ -32,17 +33,57 @@ config::ExperimentConfig RawSpeedConfig(config::ExperimentConfig config);
 /// fields zeroed; shards fill in their own).
 Hello MakeHello(const config::ExperimentConfig& config);
 
+/// What a ServerNode and a ClientShard share: the config the model objects
+/// refer to, a calendar driven by a RealtimeSubstrate, the database
+/// layout, metrics, the network endpoint table, and the optional inbound
+/// filter in front of the model's inboxes.
+class Node {
+ public:
+  Node(const Node&) = delete;
+  Node& operator=(const Node&) = delete;
+
+  /// Interposes `filter` between the transport and the model's inboxes:
+  /// messages for which it returns false are discarded. Used by the wire
+  /// fault adapter to enforce crash/partition windows on inbound traffic.
+  /// Fault-free runs never call this; their sink is an inbox push behind
+  /// one null check. Call before the loop starts; the filter runs on the
+  /// loop thread.
+  void InstallInboundFilter(std::function<bool(const net::Message&)> filter) {
+    inbound_filter_ = std::move(filter);
+  }
+
+  RealtimeSubstrate& substrate() { return substrate_; }
+  net::Network& network() { return network_; }
+  runner::Metrics& metrics() { return metrics_; }
+
+ protected:
+  Node(const config::ExperimentConfig& config, std::uint64_t seed);
+  ~Node() = default;
+
+  /// False when the inbound filter discards `msg`.
+  bool Admit(const net::Message& msg) const {
+    return !inbound_filter_ || inbound_filter_(msg);
+  }
+
+  config::ExperimentConfig config_;
+  sim::Simulator sim_;
+  RealtimeSubstrate substrate_;
+  db::DatabaseLayout layout_;
+  runner::Metrics metrics_;
+  net::Network network_;
+
+ private:
+  std::function<bool(const net::Message&)> inbound_filter_;
+};
+
 /// A real page server: the unchanged server::Server (buffer pool, lock
 /// manager, log, directory, protocol) running on a RealtimeSubstrate, with
 /// inbound messages injected from the TCP transport. One instance per
 /// ccserve process (or per in-process loopback experiment).
-class ServerNode {
+class ServerNode : public Node {
  public:
   ServerNode(const config::ExperimentConfig& config, std::uint64_t seed);
   ~ServerNode();
-
-  ServerNode(const ServerNode&) = delete;
-  ServerNode& operator=(const ServerNode&) = delete;
 
   /// Spawns the server's dispatcher process. Call after installing the
   /// transport on network().
@@ -52,33 +93,13 @@ class ServerNode {
   std::uint64_t RunLoop(sim::Ticks horizon);
 
   /// Joins the checker's verification thread and finalizes the oracle
-  /// (call once, after the loop has stopped). Returns false if no checker.
-  bool FinalizeChecker();
+  /// (call once, after the loop has stopped); a no-op without a checker.
+  void FinalizeChecker();
 
-  /// Interposes `filter` between the transport and the server's inbox:
-  /// messages for which it returns false are discarded. Used by the wire
-  /// fault adapter to enforce crash/partition windows on inbound traffic.
-  /// Fault-free runs never call this, keeping the sink a bare inbox push.
-  /// Call before the loop starts; the filter runs on the loop thread.
-  void InstallInboundFilter(std::function<bool(const net::Message&)> filter);
-
-  /// The storage-fault injector attached to the server's log (nullptr
-  /// unless the config carries torn-write/bit-flip probabilities).
-  fault::FaultInjector* storage_injector() { return storage_injector_.get(); }
-
-  RealtimeSubstrate& substrate() { return substrate_; }
-  net::Network& network() { return network_; }
   server::Server& server() { return *server_; }
-  runner::Metrics& metrics() { return metrics_; }
   check::Checker* checker() { return checker_.get(); }
 
  private:
-  config::ExperimentConfig config_;
-  sim::Simulator sim_;
-  RealtimeSubstrate substrate_;
-  db::DatabaseLayout layout_;
-  runner::Metrics metrics_;
-  net::Network network_;
   std::unique_ptr<check::Checker> checker_;
   std::unique_ptr<server::Server> server_;
   std::unique_ptr<fault::FaultInjector> storage_injector_;
@@ -90,15 +111,13 @@ class ServerNode {
 /// the workload generator, and the client protocol halves are the same
 /// code that runs under the DES substrate; RNG streams are derived from
 /// the global client id, so shard boundaries do not change any client's
-/// workload.
-class ClientShard {
+/// workload. Transaction uid sequences start at a wall-clock session base,
+/// so a long-lived server takes each later session's uids as new.
+class ClientShard : public Node {
  public:
   ClientShard(const config::ExperimentConfig& config, std::uint64_t seed,
               int client_lo, int client_hi);
   ~ClientShard();
-
-  ClientShard(const ClientShard&) = delete;
-  ClientShard& operator=(const ClientShard&) = delete;
 
   /// Spawns every client's driver/dispatcher. Call after installing the
   /// transport on network().
@@ -108,28 +127,14 @@ class ClientShard {
   /// resetting the stats window after `warmup` ticks.
   std::uint64_t RunLoop(sim::Ticks warmup, sim::Ticks duration);
 
-  /// Same as ServerNode::InstallInboundFilter, for the shard's clients.
-  void InstallInboundFilter(std::function<bool(const net::Message&)> filter);
-
-  int client_lo() const { return client_lo_; }
-  int client_hi() const { return client_hi_; }
-  RealtimeSubstrate& substrate() { return substrate_; }
-  net::Network& network() { return network_; }
-  runner::Metrics& metrics() { return metrics_; }
   /// The shard's clients (harvest only — do not touch while the loop runs).
   const std::vector<std::unique_ptr<client::Client>>& clients() const {
     return clients_;
   }
 
  private:
-  config::ExperimentConfig config_;
   int client_lo_;
   int client_hi_;
-  sim::Simulator sim_;
-  RealtimeSubstrate substrate_;
-  db::DatabaseLayout layout_;
-  runner::Metrics metrics_;
-  net::Network network_;
   std::vector<std::unique_ptr<client::Client>> clients_;
 };
 

@@ -110,9 +110,6 @@ class FrameBuffer {
     std::size_t zero_len;  // zero-filled page payload following them
   };
 
-  std::size_t SegmentDataBegin(std::size_t s) const {
-    return s == 0 ? 0 : segments_[s - 1].data_end;
-  }
   void Advance(std::size_t n);
 
   std::vector<std::uint8_t> bytes_;

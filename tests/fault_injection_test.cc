@@ -1,13 +1,12 @@
 // Chaos tests (ctest label "chaos"): run every consistency algorithm on a
 // lossy, duplicating, delay-spiking network — plus scheduled client and
 // server crashes — with a fixed seed, and assert the recovery layer keeps
-// the system live and serializable. The commit-time serializability oracle
-// (a CCSIM_CHECK inside the server) makes any protocol bug fatal, and the
-// independent version-chain replay below re-checks the committed history.
+// the system live and serializable. The serializability oracle and the
+// log's version-chain audit (both on with checker.enabled) make any
+// protocol bug fatal.
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <tuple>
 
@@ -37,7 +36,7 @@ ExperimentConfig ChaosBaseConfig(Algorithm algorithm, CachingMode mode) {
   cfg.control.warmup_seconds = 5;
   cfg.control.target_commits = 300;
   cfg.control.max_measure_seconds = 300;
-  cfg.control.record_history = true;
+  cfg.checker.enabled = true;
   return cfg;
 }
 
@@ -50,23 +49,13 @@ void AddLossyNetwork(ExperimentConfig& cfg) {
   cfg.fault.recovery_enabled = true;
 }
 
-/// Independent replay of the commit history: along each page's version
-/// chain, versions must increase by exactly one per writer. Holds even with
-/// faults injected — recovery must never let a lost message skip or repeat
-/// a version.
+/// The log audit asserted at every commit that each page's versions form a
+/// dense chain, even with faults injected: recovery must never let a lost
+/// message skip or repeat a version. The run must have logged writes for
+/// that to mean anything.
 void ExpectDenseVersionChains(const RunResult& r) {
-  std::map<db::PageId, std::uint64_t> last_version;
-  std::uint64_t writes = 0;
-  for (const auto& record : r.history) {
-    for (const auto& [page, version] : record.writes) {
-      auto [it, inserted] = last_version.emplace(page, 1);
-      EXPECT_EQ(version, it->second + 1)
-          << "page " << page << " version chain broken";
-      it->second = version;
-      ++writes;
-    }
-  }
-  EXPECT_GT(writes, 0u);
+  EXPECT_TRUE(r.oracle_enabled);
+  EXPECT_GT(r.log_forced_commits, 0u);
 }
 
 class ChaosSweep

@@ -177,13 +177,18 @@ TEST(WireFaultAdapterTest, DownEndpointSendsAndReceivesNothing) {
 }
 
 TEST(WireFaultAdapterTest, DelaySpikeIsHeldUntilDueThenReleasedFifo) {
+  // A spike far longer than any scheduling delay between two calls, so the
+  // first flush is before the due time even on a loaded host.
+  const sim::Ticks spike = sim::MillisToTicks(200.0);
   fault::FaultPlan plan;
   plan.link.delay_spike = 1.0;
-  plan.link.spike_delay = sim::MillisToTicks(2.0);
+  plan.link.spike_delay = spike;
   AdapterHarness h(std::move(plan));
 
   h.adapter.Deliver(SeqMessage(1));
   h.adapter.Deliver(SeqMessage(2));
+  // Both are due no later than this.
+  const sim::Ticks due = h.substrate.WallTicks() + spike;
   EXPECT_TRUE(h.next.delivered.empty());
   // An immediate flush is before the due time: still held (but the
   // downstream transport is still flushed — the adapter never blocks it).
@@ -191,7 +196,9 @@ TEST(WireFaultAdapterTest, DelaySpikeIsHeldUntilDueThenReleasedFifo) {
   EXPECT_TRUE(h.next.delivered.empty());
   EXPECT_EQ(h.next.flushes, 1);
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  while (h.substrate.WallTicks() < due) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   h.adapter.Flush();
   ASSERT_EQ(h.next.delivered.size(), 2u);
   EXPECT_EQ(h.next.delivered[0].seq, 1u);  // equal spikes stay FIFO

@@ -214,6 +214,21 @@ TEST_F(StorageTest, ReadOnlyCommitWritesNoLog) {
   EXPECT_EQ(log_disk.sequential_accesses(), 0u);
 }
 
+// Negative controls for the log audit: each page's logged versions must
+// form a dense chain, so a skipped version and a repeated one are fatal.
+TEST_F(StorageTest, LogAuditRejectsASkippedVersion) {
+  LogManager log(LogManager::Params{}, layout_.get(), {}, {}, cpu_.get());
+  log.AuditCommitWrites({{3, 2}});
+  EXPECT_DEATH(log.AuditCommitWrites({{3, 4}}), "version-chain order");
+}
+
+TEST_F(StorageTest, LogAuditRejectsARepeatedVersion) {
+  LogManager log(LogManager::Params{}, layout_.get(), {}, {}, cpu_.get());
+  log.AuditCommitWrites({{3, 2}, {5, 2}});
+  log.AuditCommitWrites({{3, 3}});
+  EXPECT_DEATH(log.AuditCommitWrites({{3, 3}}), "version-chain order");
+}
+
 TEST_F(StorageTest, AbortUndoChargesDataDiskIos) {
   const DiskTiming timing{0, 0, sim::MillisToTicks(2)};
   Disk log_disk(&sim_, "log", timing, sim::Pcg32(1, 4));

@@ -206,6 +206,38 @@ TEST(SplitDeploymentTest, ClientsWithOnlyRecoveryRideOutAServerCrash) {
   EXPECT_TRUE(r.oracle_enabled);
 }
 
+// A long-lived ccserve serves one ccload session after another. Each
+// session's transaction uids must be new to the server, or it takes the
+// session's first attempts for stale ones and aborts them. One client has
+// no lock conflicts, so the second session commits without an abort.
+// Recovery mode lets the server reap an attempt the first session left
+// open when it stopped.
+TEST(SplitDeploymentTest, SecondSessionAgainstOneServerRunsWithoutAborts) {
+  ExperimentConfig cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
+                                      CachingMode::kInterTransaction);
+  cfg.system.num_clients = 1;
+  cfg.fault.recovery_enabled = true;
+  const Result<ExperimentConfig> real = runner::PrepareRealConfig(cfg);
+  ASSERT_TRUE(real.ok()) << real.status().ToString();
+  auto server = runner::ServerDeployment::Start(real.ValueOrDie(),
+                                                /*port=*/0, "127.0.0.1");
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  RunResult sessions[2];
+  for (RunResult& r : sessions) {
+    auto clients = runner::ClientDeployment::Connect(
+        real.ValueOrDie(), "127.0.0.1", server.ValueOrDie()->port(), 0, 1,
+        /*shards=*/1);
+    ASSERT_TRUE(clients.ok()) << clients.status().ToString();
+    clients.ValueOrDie()->Run(/*warmup_seconds=*/0, /*duration_seconds=*/0.5);
+    clients.ValueOrDie()->Harvest(&r);
+  }
+  server.ValueOrDie()->Stop();
+  EXPECT_GT(sessions[0].commits, 0u);
+  EXPECT_GT(sessions[1].commits, 0u);
+  EXPECT_EQ(sessions[1].aborts, 0u);
+}
+
 TEST(SplitDeploymentTest, ShardCountHonoursAnExplicitCount) {
   EXPECT_EQ(runner::ShardCount(1, 8), 1);  // ccload --threads=1
   EXPECT_EQ(runner::ShardCount(3, 8), 3);
@@ -497,17 +529,6 @@ TEST(RealConfigValidationTest, RejectsClientCrashWindowsNamingTheFlag) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("--crash"), std::string::npos)
-      << status.ToString();
-}
-
-TEST(RealConfigValidationTest, RejectsHistoryRecordingNamingTheFlag) {
-  ExperimentConfig cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
-                                      CachingMode::kInterTransaction);
-  cfg.control.record_history = true;
-  const Status status = runner::ValidateRealConfig(cfg);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("--record-history"), std::string::npos)
       << status.ToString();
 }
 

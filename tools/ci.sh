@@ -22,8 +22,10 @@
 #   6c. one ccserve serving three sequential ccload runs: the server's
 #      reactor accepts each run, sees it hang up and unroutes it, and
 #      retires every finished transaction's state; the leg fails if either
-#      process fails or the live transaction-state count ccserve reports
+#      process fails, if the live transaction-state count ccserve reports
 #      at shutdown exceeds clients x runs (a bound independent of commits),
+#      or if a later run aborts more than the first run plus one attempt
+#      per client (the server must take each run's uids as new),
 #   7. a real-substrate chaos cocktail: each of the five protocols runs on
 #      threads + TCP with frame drop/duplicate/delay-spike, one hard
 #      partition, and one server crash + log-replay restart, oracle on; a
@@ -166,11 +168,17 @@ seq_clients=8
 serve_log="$build_dir/ccserve.sequential.log"
 start_ccserve sequential --algorithm=2pl --clients="$seq_clients" --check \
     --duration=$((seq_runs * (smoke_secs + 1) + 60)) >"$serve_log"
+load_log="$build_dir/ccload.sequential.log"
 load_status=0
+run_aborts=()
 for _ in $(seq "$seq_runs"); do
   "$build_dir"/tools/ccload --port-file="$port_file" --algorithm=2pl \
-      --clients="$seq_clients" --duration="$smoke_secs" --warmup=1 ||
-    { load_status=$?; break; }
+      --clients="$seq_clients" --duration="$smoke_secs" --warmup=1 \
+      >"$load_log" || load_status=$?
+  cat "$load_log"
+  (( load_status == 0 )) || break
+  run_aborts+=("$(sed -n 's/^commits *: [0-9]* (aborts \([0-9]*\),.*/\1/p' \
+      "$load_log")")
 done
 kill -TERM "$serve_pid" 2>/dev/null || true
 serve_status=0
@@ -180,6 +188,14 @@ if (( load_status != 0 || serve_status != 0 )); then
   echo "FAIL: ccload exited $load_status, ccserve exited $serve_status"
   exit 1
 fi
+for aborts in "${run_aborts[@]}"; do
+  if [[ -z "$aborts" ]] ||
+      (( aborts > run_aborts[0] + seq_clients )); then
+    echo "FAIL: ccload runs against one ccserve aborted" \
+         "${run_aborts[*]} attempts (bound: first run + $seq_clients)"
+    exit 1
+  fi
+done
 live_states=$(sed -n 's/.* \([0-9][0-9]*\) live transaction states.*/\1/p' \
     "$serve_log")
 if [[ -z "$live_states" ]] ||

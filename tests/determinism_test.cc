@@ -144,22 +144,31 @@ std::string Digest(const std::string& text) {
 // to leave behaviour alone (a refactor, a perf change) fails here if it
 // moved a single event.
 //
-// When a change alters the model on purpose, re-record: run
+// The kernel event count and the message count of each run are pinned
+// beside its digest. The digest leaves the event count out on purpose (a
+// change may remove events and keep the model), so a change that adds or
+// removes events or messages without moving the model fails here too.
+//
+// When a change alters the model, or its event count, on purpose,
+// re-record: run
 //   ctest --test-dir build -R 'DeterminismTest.PinnedModelDigests'
 // --output-on-failure, check that the change explains every moved digest
-// (and nothing else moved), copy the digests printed as "Which is" into the
-// tables below, and say in the change description which ones moved and why.
+// and count (and nothing else moved), copy the values printed as
+// "Which is" into the tables below, and say in the change description
+// which ones moved and why.
 struct PinnedDigest {
   const char* label;
   const char* digest;
+  std::uint64_t events;
+  std::uint64_t messages;
 };
 
 const PinnedDigest kFaultFreeDigests[] = {
-    {"2PL", "11d66714334fae85"},
-    {"certification", "382ace059fe23a4b"},
-    {"callback", "0b614e06d8068fb0"},
-    {"no-wait", "8e4a9f772c5405b0"},
-    {"no-wait+notify", "b711aa193620ba34"},
+    {"2PL", "11d66714334fae85", 34039, 3991},
+    {"certification", "382ace059fe23a4b", 30084, 3404},
+    {"callback", "0b614e06d8068fb0", 31101, 3490},
+    {"no-wait", "8e4a9f772c5405b0", 29958, 3366},
+    {"no-wait+notify", "3c448061c769f5a3", 30305, 3429},
 };
 
 /// Recovery mode under message loss and duplication: exercises the
@@ -174,7 +183,8 @@ config::ExperimentConfig LossyRecoveryConfig() {
   return cfg;
 }
 
-constexpr const char* kLossyRecoveryDigest = "74bf26b69d5ab6e3";
+const PinnedDigest kLossyRecovery = {"lossy callback", "74bf26b69d5ab6e3",
+                                     37521, 4283};
 
 TEST(DeterminismTest, PinnedModelDigests) {
   for (std::size_t i = 0; i < std::size(kAllAlgorithms); ++i) {
@@ -182,9 +192,13 @@ TEST(DeterminismTest, PinnedModelDigests) {
     auto result = runner::RunExperiment(SmallConfig(alg.algorithm, 10));
     ASSERT_TRUE(result.ok()) << alg.label;
     ASSERT_STREQ(kFaultFreeDigests[i].label, alg.label);
-    EXPECT_EQ(Digest(Serialize(result.ValueOrDie())),
-              kFaultFreeDigests[i].digest)
+    const runner::RunResult& r = result.ValueOrDie();
+    EXPECT_EQ(Digest(Serialize(r)), kFaultFreeDigests[i].digest)
         << alg.label << " fault-free model moved";
+    EXPECT_EQ(r.events_processed, kFaultFreeDigests[i].events)
+        << alg.label << " event count moved";
+    EXPECT_EQ(r.messages, kFaultFreeDigests[i].messages)
+        << alg.label << " message count moved";
   }
   auto lossy = runner::RunExperiment(LossyRecoveryConfig());
   ASSERT_TRUE(lossy.ok());
@@ -193,8 +207,12 @@ TEST(DeterminismTest, PinnedModelDigests) {
   EXPECT_GT(r.messages_dropped, 0u);
   EXPECT_GT(r.messages_duplicated, 0u);
   EXPECT_GT(r.duplicates_suppressed, 0u);
-  EXPECT_EQ(Digest(SerializeWithFaults(r)), kLossyRecoveryDigest)
+  EXPECT_EQ(Digest(SerializeWithFaults(r)), kLossyRecovery.digest)
       << "recovery-mode model moved";
+  EXPECT_EQ(r.events_processed, kLossyRecovery.events)
+      << "recovery-mode event count moved";
+  EXPECT_EQ(r.messages, kLossyRecovery.messages)
+      << "recovery-mode message count moved";
 }
 
 TEST(DeterminismTest, SameSeedTwiceIsByteIdentical) {

@@ -620,6 +620,15 @@ int main(int argc, char** argv) {
               r.wall_seconds,
               static_cast<unsigned long long>(r.events_processed),
               r.events_per_second / 1e6);
+  if (r.commits > 0) {
+    // The ratios perfbench reports as sim.events_per_commit and
+    // net.messages_per_commit: kernel events of the whole run (warm-up
+    // included) and messages of the measured window, per measured commit.
+    const double commits = static_cast<double>(r.commits);
+    std::printf("per commit         : %.2f events, %.2f messages\n",
+                static_cast<double>(r.events_processed) / commits,
+                static_cast<double>(r.messages) / commits);
+  }
   std::printf("mean response      : %.3f s (+/- %.3f)\n", r.mean_response_s,
               r.response_ci_s);
   std::printf("percentiles        : p50 %.4f s, p90 %.4f s, p99 %.4f s\n",

@@ -111,7 +111,6 @@ sim::Task<net::MessagePtr> Client::Rpc(net::MessagePtr msg) {
       // surfaces as an abort rather than a lost update.
       msg->updated_set.assign(updated_this_xact_.begin(),
                               updated_this_xact_.end());
-      std::sort(msg->updated_set.begin(), msg->updated_set.end());
     }
   }
   const std::uint64_t request_id = msg->request_id;

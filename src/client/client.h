@@ -21,6 +21,7 @@
 #include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/ring_deque.h"
+#include "util/small_sorted.h"
 #include "workload/workload.h"
 
 namespace ccsim::proto {
@@ -256,7 +257,7 @@ class Client {
   std::uint32_t incarnation_ = 1;
   std::uint64_t next_seq_ = 1;
   std::unique_ptr<sim::Event> recovered_;
-  std::unordered_set<db::PageId> updated_this_xact_;
+  util::SmallSortedSet<db::PageId, 16> updated_this_xact_;
   /// Sliding window of asynchronous sequence numbers already processed.
   std::unordered_set<std::uint64_t> seen_seq_;
   std::deque<std::uint64_t> seen_order_;

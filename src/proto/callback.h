@@ -1,12 +1,12 @@
 #ifndef CCSIM_PROTO_CALLBACK_H_
 #define CCSIM_PROTO_CALLBACK_H_
 
-#include <set>
-#include <unordered_set>
-#include <utility>
+#include <vector>
 
 #include "config/params.h"
 #include "proto/protocol.h"
+#include "util/bit_matrix.h"
+#include "util/small_sorted.h"
 
 namespace ccsim::proto {
 
@@ -49,8 +49,8 @@ class CallbackClient : public ClientProtocol {
   bool retain_write_locks_;
   bool explicit_evict_notices_;
   /// Called-back pages in use by the current transaction; released (with a
-  /// kCallbackRelease message) when the transaction ends.
-  std::unordered_set<db::PageId> deferred_callbacks_;
+  /// kCallbackRelease message, ascending) when the transaction ends.
+  util::SmallSortedSet<db::PageId, 8> deferred_callbacks_;
   /// Evicted retained locks awaiting piggybacking on the next message.
   std::vector<db::PageId> pending_evict_notices_;
 };
@@ -93,7 +93,9 @@ class CallbackServer : public ServerProtocol {
   /// unanswered past the lease is force-released server-side.
   sim::Ticks lease_ticks_ = 0;
   /// (page, client) pairs with an outstanding callback request.
-  std::set<std::pair<db::PageId, int>> outstanding_callbacks_;
+  util::BitMatrix outstanding_callbacks_;
+  /// HandleCommit's copy of the committing transaction's held pages.
+  std::vector<db::PageId> held_scratch_;
 };
 
 }  // namespace ccsim::proto

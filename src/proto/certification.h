@@ -1,10 +1,11 @@
 #ifndef CCSIM_PROTO_CERTIFICATION_H_
 #define CCSIM_PROTO_CERTIFICATION_H_
 
-#include <unordered_map>
+#include <cstdint>
 
 #include "config/params.h"
 #include "proto/protocol.h"
+#include "util/small_sorted.h"
 
 namespace ccsim::proto {
 
@@ -36,8 +37,9 @@ class CertificationClient : public ClientProtocol {
 
  private:
   bool intra_;
-  /// (page -> version read), shipped with the commit for validation.
-  std::unordered_map<db::PageId, std::uint64_t> read_set_;
+  /// (page -> version read), shipped with the commit for validation in
+  /// ascending page order.
+  util::SmallSortedMap<db::PageId, std::uint64_t, 16> read_set_;
 };
 
 /// Server half of certification: version checks on access, commit-time

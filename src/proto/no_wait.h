@@ -2,10 +2,11 @@
 #define CCSIM_PROTO_NO_WAIT_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "config/params.h"
 #include "proto/protocol.h"
+#include "util/small_sorted.h"
 
 namespace ccsim::proto {
 
@@ -30,7 +31,7 @@ class NoWaitClient : public ClientProtocol {
   /// Recovery mode: version of every page at the moment this attempt first
   /// used it. The fire-and-forget lock/validate request may be lost, so the
   /// commit carries these for a server-side backward validation.
-  std::unordered_map<db::PageId, std::uint64_t> read_set_;
+  util::SmallSortedMap<db::PageId, std::uint64_t, 16> read_set_;
 };
 
 /// Server half of no-wait locking. With `notify` (paper §2.5), committed
@@ -67,6 +68,8 @@ class NoWaitServer : public ServerProtocol {
   bool notify_;
   bool notify_invalidate_;
   bool notify_broadcast_;
+  /// PropagateUpdates' directory lookup (used between suspensions only).
+  std::vector<int> caching_scratch_;
 };
 
 }  // namespace ccsim::proto

@@ -151,10 +151,12 @@ sim::Task<void> TwoPhaseServer::Handle(net::MessagePtr msg) {
 sim::Task<void> TwoPhaseServer::HandleRead(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
-  std::vector<db::PageId> all_pages(msg.pages.begin(), msg.pages.end());
-  all_pages.insert(all_pages.end(), msg.fetch_pages.begin(),
-                   msg.fetch_pages.end());
-  for (db::PageId page : all_pages) {
+  // Lock the cached pages to validate, then the pages to fetch.
+  const std::size_t lock_count = msg.pages.size() + msg.fetch_pages.size();
+  for (std::size_t i = 0; i < lock_count; ++i) {
+    const db::PageId page = i < msg.pages.size()
+                                ? msg.pages[i]
+                                : msg.fetch_pages[i - msg.pages.size()];
     const lock::LockOutcome outcome =
         co_await s_.locks().Acquire(state->uid, page, msg.mode);
     if (outcome != lock::LockOutcome::kGranted) {
@@ -172,8 +174,7 @@ sim::Task<void> TwoPhaseServer::HandleRead(const net::Message& msg) {
   reply->type = net::MsgType::kReadReply;
   // With the locks held, validate the cached versions; stale copies are
   // re-read and shipped fresh.
-  std::vector<db::PageId> to_read(msg.fetch_pages.begin(),
-                                  msg.fetch_pages.end());
+  net::PageList to_read = msg.fetch_pages;
   for (std::size_t i = 0; i < msg.pages.size(); ++i) {
     const db::PageId page = msg.pages[i];
     if (s_.versions().Get(page) == msg.versions[i]) {

@@ -24,6 +24,9 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk.h"
 #include "storage/log_manager.h"
+#include "util/flat_map.h"
+#include "util/object_pool.h"
+#include "util/small_sorted.h"
 
 namespace ccsim::proto {
 class ServerProtocol;
@@ -31,28 +34,36 @@ class ServerProtocol;
 
 namespace ccsim::server {
 
-/// Server-side state of one transaction attempt.
+/// Server-side state of one transaction attempt. States come from a free
+/// list and go back to it when retired; every page set is an ascending
+/// inline list, so admitting and finishing an attempt allocates nothing
+/// once the lists have grown to the workload's transaction size.
 struct XactState {
   std::uint64_t uid = 0;
   int client = 0;
   bool done = false;
   bool aborted = false;
+  /// Counted among the active transactions (admitted, not yet finished; a
+  /// server crash drops every attempt from the active set).
+  bool active = false;
   /// (page -> version read) for the serializability oracle and, in 2PL-like
   /// protocols, built as locks/fetches are granted.
-  std::unordered_map<db::PageId, std::uint64_t> read_versions;
+  util::SmallSortedMap<db::PageId, std::uint64_t, 16> read_versions;
   /// Pages updated by this transaction (installed in the buffer pool for
   /// in-place protocols; staged for certification).
-  std::unordered_set<db::PageId> updated;
+  util::SmallSortedSet<db::PageId, 16> updated;
   /// No-wait locking: asynchronous requests still being processed.
   int pending_async = 0;
-  /// Signalled whenever pending_async reaches zero.
+  /// Signalled whenever pending_async reaches zero. Built with the state
+  /// and kept across reuse.
   std::unique_ptr<sim::Event> async_resolved;
-  /// Pages found stale, reported to the client with the abort.
-  std::vector<db::PageId> stale_pages;
+  /// Pages found stale, reported to the client with the abort (in the
+  /// order they were found).
+  net::PageList stale_pages;
   /// Updated pages received before commit but not yet applicable in place:
   /// certification's server-side private buffer, and no-wait dirty
   /// evictions whose X lock is still pending.
-  std::unordered_set<db::PageId> deferred;
+  util::SmallSortedSet<db::PageId, 8> deferred;
   /// Recovery mode: when the server last heard from this transaction
   /// (stamped at dispatch; the idle reaper aborts transactions whose
   /// client went silent without a crash notification).
@@ -205,7 +216,7 @@ class Server {
     return rng_.Bernoulli(layout_->cluster_factor());
   }
 
-  int active_transactions() const { return static_cast<int>(active_.size()); }
+  int active_transactions() const { return active_count_; }
   /// Transactions committed over the server's lifetime.
   std::uint64_t transactions_committed() const { return committed_; }
 
@@ -234,6 +245,16 @@ class Server {
   static XactState* Pin(XactState* state);
   /// Releases a pin; retires the state if it is done and unpinned.
   void Unpin(XactState& state);
+  /// Per-client transaction bookkeeping, grown to the highest client id.
+  struct ClientXacts {
+    /// Uid of the client's active transaction, 0 if none.
+    std::uint64_t active = 0;
+    /// Highest uid of the client's finished transactions.
+    std::uint64_t last_finished = 0;
+  };
+  ClientXacts& XactsOf(int client);
+  /// Fills uid_scratch_ with the active transactions' uids, ascending.
+  void CollectActive();
   sim::Process ReplyAbortedTo(net::MessagePtr request);
   void PumpReady();
   bool IsStale(const net::Message& msg) const;
@@ -272,10 +293,14 @@ class Server {
 
   sim::Ticks server_proc_page_ticks_ = 0;
 
-  std::unordered_map<std::uint64_t, std::unique_ptr<XactState>> xacts_;
-  std::unordered_set<std::uint64_t> active_;
-  std::unordered_map<int, std::uint64_t> active_by_client_;
-  std::unordered_map<int, std::uint64_t> last_finished_;
+  /// Live transaction states by uid: the active ones plus finished ones a
+  /// running handler still holds.
+  util::FlatMap<std::uint64_t, XactState*> xacts_;
+  util::ObjectPool<XactState> xact_pool_;
+  std::vector<ClientXacts> client_xacts_;
+  int active_count_ = 0;
+  /// Crash's and the reaper's ascending snapshot of the active uids.
+  std::vector<std::uint64_t> uid_scratch_;
   std::deque<net::MessagePtr> ready_;
   std::size_t ready_high_water_ = 0;
   std::uint64_t committed_ = 0;

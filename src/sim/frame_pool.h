@@ -3,6 +3,8 @@
 
 #include <cstddef>
 
+#include "util/macros.h"
+
 namespace ccsim::sim {
 
 /// Recycling allocator for coroutine frames (`Process` and `Task<T>`).
@@ -35,17 +37,7 @@ class FramePool {
   static constexpr std::size_t kMaxPooledBytes = 16 * 1024;
   static constexpr std::size_t kNumClasses = kMaxPooledBytes / kClassBytes;
 
-#if defined(__SANITIZE_ADDRESS__)
-  static constexpr bool kEnabled = false;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-  static constexpr bool kEnabled = false;
-#else
-  static constexpr bool kEnabled = true;
-#endif
-#else
-  static constexpr bool kEnabled = true;
-#endif
+  static constexpr bool kEnabled = !CCSIM_ASAN;
 
   static void* Allocate(std::size_t size);
   static void Deallocate(void* frame, std::size_t size) noexcept;

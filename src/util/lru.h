@@ -2,13 +2,12 @@
 #define CCSIM_UTIL_LRU_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <utility>
 #include <vector>
 
+#include "util/flat_map.h"
 #include "util/macros.h"
 
 namespace ccsim {
@@ -23,8 +22,8 @@ namespace ccsim {
 ///
 /// Memory: recency is an intrusive doubly linked list of nodes carved from
 /// fixed-size chunks and recycled through a free list, and the key index is
-/// an open-addressing table (linear probing, backward-shift erase) that
-/// only grows. Insert/erase churn at a steady size therefore never reaches
+/// a util::FlatMap (open addressing, backward-shift erase) that only
+/// grows. Insert/erase churn at a steady size therefore never reaches
 /// the allocator. Entry addresses are stable until the entry is erased.
 template <typename K, typename V>
 class LruTable {
@@ -74,30 +73,22 @@ class LruTable {
     Node* node = AllocNode();
     ::new (static_cast<void*>(node->storage)) Entry{key, std::move(value), 0};
     LinkFront(node);
-    IndexInsert(key, node);
+    index_.Insert(key, node);
     ++size_;
     return &node->entry().value;
   }
 
   /// Removes an entry. Returns true if it existed.
   bool Erase(const K& key) {
-    if (slots_.empty()) {
+    Node* node = nullptr;
+    if (!index_.Erase(key, &node)) {
       return false;
     }
-    std::size_t i = Home(key);
-    while (slots_[i].node != nullptr) {
-      if (slots_[i].key == key) {
-        Node* node = slots_[i].node;
-        IndexEraseAt(i);
-        Unlink(node);
-        node->entry().~Entry();
-        FreeNode(node);
-        --size_;
-        return true;
-      }
-      i = (i + 1) & mask();
-    }
-    return false;
+    Unlink(node);
+    node->entry().~Entry();
+    FreeNode(node);
+    --size_;
+    return true;
   }
 
   /// Pins an entry, excluding it from victim selection. Fatal if missing.
@@ -161,9 +152,7 @@ class LruTable {
       FreeNode(node);
     }
     tail_ = nullptr;
-    for (Slot& slot : slots_) {
-      slot.node = nullptr;
-    }
+    index_.Clear();
     size_ = 0;
   }
 
@@ -179,84 +168,11 @@ class LruTable {
     }
   };
 
-  /// Index slot; `node == nullptr` marks it empty.
-  struct Slot {
-    K key;
-    Node* node;
-  };
-
   static constexpr std::size_t kChunkNodes = 64;
-  static constexpr std::size_t kMinSlots = 16;
-
-  std::size_t mask() const { return slots_.size() - 1; }
-
-  std::size_t Home(const K& key) const {
-    // Fibonacci hashing spreads dense page ids across the table.
-    const std::uint64_t h = static_cast<std::uint64_t>(std::hash<K>{}(key)) *
-                            0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(h >> 32) & mask();
-  }
 
   Node* FindNode(const K& key) const {
-    if (slots_.empty()) {
-      return nullptr;
-    }
-    std::size_t i = Home(key);
-    while (slots_[i].node != nullptr) {
-      if (slots_[i].key == key) {
-        return slots_[i].node;
-      }
-      i = (i + 1) & mask();
-    }
-    return nullptr;
-  }
-
-  void IndexInsert(const K& key, Node* node) {
-    // Keep the load factor at or below 1/2 so probe runs stay short.
-    if (2 * (size_ + 1) > slots_.size()) {
-      Rehash(slots_.empty() ? kMinSlots : 2 * slots_.size());
-    }
-    std::size_t i = Home(key);
-    while (slots_[i].node != nullptr) {
-      i = (i + 1) & mask();
-    }
-    slots_[i] = Slot{key, node};
-  }
-
-  /// Backward-shift deletion: pulls later members of the probe run into
-  /// the hole, so lookups never need tombstones.
-  void IndexEraseAt(std::size_t hole) {
-    std::size_t i = hole;
-    for (;;) {
-      i = (i + 1) & mask();
-      if (slots_[i].node == nullptr) {
-        break;
-      }
-      const std::size_t home = Home(slots_[i].key);
-      // Move slot i into the hole unless its home lies cyclically in
-      // (hole, i] — then it is already as close to home as it can be.
-      const bool stays = hole <= i ? (hole < home && home <= i)
-                                   : (hole < home || home <= i);
-      if (!stays) {
-        slots_[hole] = slots_[i];
-        hole = i;
-      }
-    }
-    slots_[hole].node = nullptr;
-  }
-
-  void Rehash(std::size_t count) {
-    std::vector<Slot> old(count, Slot{K{}, nullptr});
-    old.swap(slots_);
-    for (const Slot& slot : old) {
-      if (slot.node != nullptr) {
-        std::size_t i = Home(slot.key);
-        while (slots_[i].node != nullptr) {
-          i = (i + 1) & mask();
-        }
-        slots_[i] = slot;
-      }
-    }
+    Node* const* node = index_.Find(key);
+    return node == nullptr ? nullptr : *node;
   }
 
   void LinkFront(Node* node) {
@@ -306,7 +222,7 @@ class LruTable {
   Node* tail_ = nullptr;  // least recently used
   Node* free_ = nullptr;
   std::size_t size_ = 0;
-  std::vector<Slot> slots_;  // empty or a power of two
+  util::FlatMap<K, Node*> index_;
   std::vector<std::unique_ptr<Node[]>> chunks_;
 };
 

@@ -9,6 +9,20 @@
 /// violations as fatal: a broken simulation state cannot produce meaningful
 /// results, so we abort loudly instead of limping on.
 
+/// 1 when built with AddressSanitizer, else 0. The recycling pools
+/// (coroutine frames, messages, util::ObjectPool) step aside under ASan so
+/// that a use after release is still reported.
+#if defined(__SANITIZE_ADDRESS__)
+#define CCSIM_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CCSIM_ASAN 1
+#endif
+#endif
+#ifndef CCSIM_ASAN
+#define CCSIM_ASAN 0
+#endif
+
 #define CCSIM_PREDICT_FALSE(x) (__builtin_expect(false || (x), false))
 #define CCSIM_PREDICT_TRUE(x) (__builtin_expect(false || (x), true))
 

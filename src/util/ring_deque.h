@@ -18,13 +18,23 @@ namespace ccsim::util {
 ///
 /// Elements are constructed on push and destroyed on pop/clear, exactly as
 /// in a standard container; growth moves them into the new buffer in FIFO
-/// order. The subset of the deque API here is what sim::Mailbox needs.
+/// order. The subset of the deque API here is what sim::Mailbox and the
+/// lock manager's wait queues need.
 template <typename T>
 class RingDeque {
  public:
   RingDeque() = default;
   RingDeque(const RingDeque&) = delete;
   RingDeque& operator=(const RingDeque&) = delete;
+  /// Steals the buffer (containers of rings, e.g. a vector of lock heads,
+  /// move them when they grow).
+  RingDeque(RingDeque&& other) noexcept
+      : slots_(other.slots_), capacity_(other.capacity_),
+        head_(other.head_), size_(other.size_) {
+    other.slots_ = nullptr;
+    other.capacity_ = other.head_ = other.size_ = 0;
+  }
+  RingDeque& operator=(RingDeque&&) = delete;
   ~RingDeque() {
     clear();
     if (slots_ != nullptr) {
@@ -39,6 +49,38 @@ class RingDeque {
   T& front() {
     CCSIM_DCHECK(size_ > 0);
     return slots_[head_];
+  }
+
+  /// The `i`-th element from the front.
+  T& operator[](std::size_t i) {
+    CCSIM_DCHECK(i < size_);
+    return slots_[(head_ + i) & (capacity_ - 1)];
+  }
+  const T& operator[](std::size_t i) const {
+    CCSIM_DCHECK(i < size_);
+    return slots_[(head_ + i) & (capacity_ - 1)];
+  }
+
+  /// Inserts `value` so that it becomes the `index`-th element, moving the
+  /// elements behind it back one place.
+  template <typename U>
+  void insert(std::size_t index, U&& value) {
+    CCSIM_DCHECK(index <= size_);
+    push_back(std::forward<U>(value));
+    for (std::size_t i = size_ - 1; i > index; --i) {
+      std::swap((*this)[i], (*this)[i - 1]);
+    }
+  }
+
+  /// Removes the `index`-th element, moving the elements behind it forward
+  /// one place.
+  void erase(std::size_t index) {
+    CCSIM_DCHECK(index < size_);
+    for (std::size_t i = index; i + 1 < size_; ++i) {
+      std::swap((*this)[i], (*this)[i + 1]);
+    }
+    slots_[(head_ + size_ - 1) & (capacity_ - 1)].~T();
+    --size_;
   }
 
   template <typename U>

@@ -124,6 +124,31 @@ class SmallVector {
     --size_;
   }
 
+  /// Inserts `value` before `pos`, shifting the tail up one slot.
+  iterator insert(const_iterator pos, const T& value) {
+    const std::size_t index = static_cast<std::size_t>(pos - data_);
+    CCSIM_DCHECK(index <= size_);
+    const T copy = value;  // `value` may live in this vector
+    if (size_ == capacity_) {
+      Grow(capacity_ * 2);
+    }
+    std::memmove(data_ + index + 1, data_ + index,
+                 (size_ - index) * sizeof(T));
+    data_[index] = copy;
+    ++size_;
+    return data_ + index;
+  }
+
+  /// Removes the element at `pos`, shifting the tail down one slot.
+  iterator erase(const_iterator pos) {
+    const std::size_t index = static_cast<std::size_t>(pos - data_);
+    CCSIM_DCHECK(index < size_);
+    std::memmove(data_ + index, data_ + index + 1,
+                 (size_ - index - 1) * sizeof(T));
+    --size_;
+    return data_ + index;
+  }
+
   void clear() { size_ = 0; }
 
   void reserve(std::size_t wanted) {

@@ -34,10 +34,12 @@ void WorkloadGenerator::NoteRead(const db::ObjectRef& object) {
     return;
   }
   auto it = std::find(inter_xact_set_.begin(), inter_xact_set_.end(), object);
-  if (it != inter_xact_set_.end()) {
-    inter_xact_set_.erase(it);
+  if (it == inter_xact_set_.end()) {
+    inter_xact_set_.push_back(object);
+    it = inter_xact_set_.end() - 1;
   }
-  inter_xact_set_.push_front(object);
+  // Move to the front, shifting the more recent objects back one place.
+  std::rotate(inter_xact_set_.begin(), it, it + 1);
   while (static_cast<int>(inter_xact_set_.size()) >
          params_().inter_xact_set_size) {
     inter_xact_set_.pop_back();

@@ -2,7 +2,6 @@
 #define CCSIM_WORKLOAD_WORKLOAD_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "config/params.h"
@@ -90,7 +89,7 @@ class WorkloadGenerator {
     return delay_rng_.ExponentialTicks(mean);
   }
 
-  const std::deque<db::ObjectRef>& inter_xact_set() const {
+  const std::vector<db::ObjectRef>& inter_xact_set() const {
     return inter_xact_set_;
   }
 
@@ -107,8 +106,9 @@ class WorkloadGenerator {
   const db::DatabaseLayout* layout_;
   sim::Pcg32 object_rng_;
   sim::Pcg32 delay_rng_;
-  /// Most-recent-first list of distinct recently read objects.
-  std::deque<db::ObjectRef> inter_xact_set_;
+  /// Most-recent-first list of distinct recently read objects (bounded by
+  /// InterXactSetSize, so it stops growing after warm-up).
+  std::vector<db::ObjectRef> inter_xact_set_;
 };
 
 }  // namespace ccsim::workload

@@ -18,6 +18,17 @@
 #include "storage/log_manager.h"
 
 namespace ccsim::storage {
+
+/// Reaches into a BufferPool's bookkeeping to break it on purpose.
+class BufferPoolTestPeer {
+ public:
+  static void ForgetDirtyPage(BufferPool& pool, std::uint64_t xact,
+                              db::PageId page) {
+    ASSERT_TRUE(pool.FindXact(xact) != nullptr);
+    ASSERT_TRUE(pool.FindXact(xact)->dirty.erase(page));
+  }
+};
+
 namespace {
 
 class StorageTest : public ::testing::Test {
@@ -139,6 +150,21 @@ TEST_F(StorageTest, AbortReportsFlushedUncommittedPages) {
   const std::vector<db::PageId> flushed = pool.AbortTransaction(42);
   ASSERT_EQ(flushed.size(), 1u);
   EXPECT_EQ(flushed[0], 0);
+}
+
+TEST_F(StorageTest, AuditCatchesUncommittedFrameMissingFromItsPageList) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  BufferPool pool = MakePool(4);
+  int done = 0;
+  sim_.Spawn(InstallOne(pool, 3, /*xact=*/9, done));
+  sim_.Spawn(InstallOne(pool, 5, /*xact=*/9, done));
+  sim_.Run(sim::SecondsToTicks(1));
+  ASSERT_EQ(done, 2);
+  pool.AuditConsistency(nullptr);  // intact bookkeeping passes
+  BufferPoolTestPeer::ForgetDirtyPage(pool, 9, 3);
+  EXPECT_DEATH(pool.AuditConsistency(nullptr),
+               "page 3 owned by an uncommitted transaction missing from its "
+               "transaction's page list");
 }
 
 TEST_F(StorageTest, AbortWithoutFlushIsFree) {
